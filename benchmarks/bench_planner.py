@@ -179,85 +179,6 @@ def bench_disk_cache() -> dict:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
-def bench_curve_vectorization(
-    model: str = "bert_large", batch: int = 256, gpu_name: str = "v100_16gb",
-) -> dict:
-    """Batched ``np.add.at`` delta updates vs the former per-window loop.
-
-    Curve updates are a few percent of total planning time, so an
-    end-to-end comparison would drown the effect in noise. Instead this
-    records every ``MemoryCurve._bump`` call a real planning run makes,
-    checks the shipped hybrid and the former all-scalar loop produce
-    decision-for-decision identical plans (interval bytes are exact
-    integers in float64, so accumulation order cannot matter), then
-    replays the recorded call stream in isolation under both
-    implementations.
-    """
-    import numpy as np
-
-    from repro.core.simulate import MemoryCurve
-
-    graph = build_model(model, batch)
-    gpu = GPU_PRESETS[gpu_name]
-
-    calls: list[tuple[int, list, float]] = []
-    hybrid_bump = MemoryCurve._bump
-
-    def recording_bump(self, windows, sign):
-        calls.append((self.steps, windows, sign))
-        hybrid_bump(self, windows, sign)
-
-    def scalar_bump(self, windows, sign):
-        for start, end, nbytes in windows:
-            value = sign * nbytes
-            self._delta[start] += value
-            self._delta[min(end + 1, self.steps)] -= value
-
-    MemoryCurve._bump = recording_bump
-    try:
-        _, decisions, peak = _plan_once(graph, gpu, True)
-    finally:
-        MemoryCurve._bump = hybrid_bump
-    MemoryCurve._bump = scalar_bump
-    try:
-        _, scalar_decisions, scalar_peak = _plan_once(graph, gpu, True)
-    finally:
-        MemoryCurve._bump = hybrid_bump
-    if (decisions, peak) != (scalar_decisions, scalar_peak):
-        raise AssertionError(
-            "vectorised curve updates diverged from the scalar loop"
-        )
-
-    shell = MemoryCurve.__new__(MemoryCurve)
-    shell._delta = np.zeros(max(steps for steps, _, _ in calls) + 1)
-    repeats = 20
-
-    def replay(bump) -> float:
-        best = float("inf")
-        for _ in range(3):
-            start = time.perf_counter()
-            for _ in range(repeats):
-                for steps, windows, sign in calls:
-                    shell.steps = steps
-                    bump(shell, windows, sign)
-            best = min(best, (time.perf_counter() - start) / repeats)
-        return best
-
-    hybrid_s = replay(hybrid_bump)
-    scalar_s = replay(scalar_bump)
-    return {
-        "model": model,
-        "batch": batch,
-        "gpu": gpu_name,
-        "decisions": len(decisions),
-        "bump_calls": len(calls),
-        "vectorized_s": hybrid_s,
-        "scalar_s": scalar_s,
-        "speedup": scalar_s / hybrid_s if hybrid_s > 0 else 0.0,
-        "identical_decisions": True,
-    }
-
-
 def _plan_once(graph, gpu, incremental: bool):
     """One timed planning run; returns (seconds, flat decisions, peak)."""
     planner = TsplitPlanner(gpu, PlannerOptions(incremental=incremental))
@@ -361,19 +282,6 @@ def main(argv: list[str] | None = None) -> int:
             "all_identical": all(e["identical"] for e in results),
         },
     }
-
-    curve = bench_curve_vectorization(
-        *(("vgg16", 512, "gtx_1080ti") if args.smoke
-          else ("bert_large", 256, "v100_16gb")),
-    )
-    payload["curve_vectorization"] = curve
-    print(
-        f"\ncurve updates:  {curve['bump_calls']} calls replayed, "
-        f"hybrid {curve['vectorized_s'] * 1e3:.1f}ms, "
-        f"scalar loop {curve['scalar_s'] * 1e3:.1f}ms "
-        f"({curve['speedup']:.2f}x, identical decisions)",
-        flush=True,
-    )
 
     if not args.skip_sweep:
         workers = args.sweep_workers or min(8, os.cpu_count() or 1)

@@ -14,6 +14,14 @@ swap-ins and all releases. The persistent region (weights, optimizer
 state, inputs) is allocated once up front, as the paper's pre-allocated
 pool does.
 
+The stream is fed through
+:class:`~repro.hardware.memory_pool.AllocationReplayer`, the one
+replayer shared with memscope's shadow pool and the address planner. Its
+two rules decide what a ledger free means for the pool: a free releases
+the oldest live allocation of its label with the freed size, falling
+back to the label's oldest (FIFO) when no size matches; and the free of
+an allocation the pool failed to place releases nothing.
+
 The engine itself dispatches in chronological order, so its
 ``peak_memory`` *is* the chronological peak; :func:`chronological_peak`
 re-derives the same number from the allocation log as an independent
@@ -25,8 +33,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.errors import AllocationError, OutOfMemoryError
-from repro.hardware.memory_pool import PERSISTENT_LABEL, MemoryPool
+from repro.errors import OutOfMemoryError
+from repro.hardware.memory_pool import (
+    PERSISTENT_LABEL,
+    AllocationReplayer,
+    MemoryPool,
+)
 from repro.runtime.trace import ExecutionTrace
 
 
@@ -105,109 +117,63 @@ def replay_allocations(
     Events are applied in recorded order — the engine's exact ledger
     application order, which already commits pending frees before a
     later allocation at the same instant but keeps a zero-duration
-    op's inputs resident until after its output allocation. Releases
-    without a live handle (e.g. events trimmed by tracing) are ignored.
-
-    A release event carries the freed byte count, and labels are not
-    unique — one label can have several live allocations of *different*
-    sizes (e.g. a tensor's full buffer and a micro-piece). The freed
-    handle is therefore matched to the event's ``|nbytes|`` among the
-    label's live handles, falling back to FIFO only when no size
-    matches; freeing per-label FIFO regardless of size would release the
-    wrong block and silently diverge the pool from the ledger.
+    op's inputs resident until after its output allocation. Frees are
+    matched to live allocations by the
+    :class:`~repro.hardware.memory_pool.AllocationReplayer`; releases
+    with nothing live (e.g. events trimmed by tracing) are ignored. The
+    replay stops at the first allocation the pool cannot place.
 
     ``plan`` threads an :class:`~repro.planner.address_plan.AddressPlan`
     into the pool — required by (and only meaningful under) the
     ``"planned"`` strategy.
     """
-    events = trace.alloc_events
     pool = MemoryPool(capacity=capacity, strategy=strategy, plan=plan)
-    #: Max-fragmentation snapshot: (fragmentation, time, largest free
-    #: block, free block count, free bytes) at the worst instant so far.
+    replayer = AllocationReplayer(pool)
+    #: Free-space shape at the worst instant so far: (time, largest
+    #: free block, free block count, free bytes).
     max_frag = 0.0
-    frag_snapshot = (0.0, 0, 0, 0)
-
-    def watch_fragmentation(time: float) -> None:
-        nonlocal max_frag, frag_snapshot
-        frag = pool.fragmentation()
-        if frag > max_frag:
-            max_frag = frag
-            frag_snapshot = (
-                time, pool.largest_free_block, len(pool.free_blocks()),
-                pool.free_bytes,
-            )
-
-    persistent_handle = None
-    if trace.persistent_bytes:
-        try:
-            persistent_handle = pool.alloc(
-                trace.persistent_bytes, label=PERSISTENT_LABEL, time=0.0,
-            )
-        except OutOfMemoryError:
-            return ReplayResult(
-                strategy=strategy, succeeded=False,
-                failed_at="<persistent region>",
-                largest_free_block=pool.stats.largest_free_block,
-                free_block_count=pool.stats.free_block_count,
-            )
-    #: label -> live (handle, requested bytes) pairs, oldest first.
-    handles: dict[str, list[tuple[int, int]]] = {}
-    for time, label, nbytes in events:
-        if nbytes > 0:
-            try:
-                handle = pool.alloc(nbytes, label=label, time=time)
-            except OutOfMemoryError:
-                # Fragmentation at the failure instant, not as of the
-                # last successful event — an OOM caused by external
-                # fragmentation must not be understated. The free-list
-                # shape stats are likewise frozen at this instant
-                # (``alloc`` mirrors them before raising).
-                return ReplayResult(
-                    strategy=strategy,
-                    succeeded=False,
-                    failed_at=label,
-                    peak_used=pool.stats.peak_used,
-                    max_fragmentation=max(max_frag, pool.fragmentation()),
-                    alloc_count=pool.stats.alloc_count,
-                    largest_free_block=pool.stats.largest_free_block,
-                    free_block_count=pool.stats.free_block_count,
-                    max_fragmentation_time=frag_snapshot[0],
-                    frag_largest_free_block=frag_snapshot[1],
-                    frag_free_block_count=frag_snapshot[2],
-                    frag_free_bytes=frag_snapshot[3],
-                    peak_extent=pool.stats.peak_extent,
-                    plan_hits=pool.stats.plan_hits,
-                    plan_misses=pool.stats.plan_misses,
+    frag_at = (0.0, 0, 0, 0)
+    failed_at = ""
+    try:
+        if trace.persistent_bytes:
+            failed_at = "<persistent region>"
+            replayer.alloc(0.0, PERSISTENT_LABEL, trace.persistent_bytes)
+        for time, label, nbytes in trace.alloc_events:
+            failed_at = label
+            if nbytes > 0:
+                replayer.alloc(time, label, nbytes)
+            else:
+                replayer.free(time, label, -nbytes)
+            frag = pool.fragmentation()
+            if frag > max_frag:
+                max_frag = frag
+                frag_at = (
+                    time, pool.largest_free_block, len(pool.free_blocks()),
+                    pool.free_bytes,
                 )
-            handles.setdefault(label, []).append((handle, nbytes))
-        else:
-            pending = handles.get(label)
-            if pending:
-                size = -nbytes
-                index = next(
-                    (i for i, (_, sz) in enumerate(pending) if sz == size),
-                    0,  # no size match: fall back to oldest-first
-                )
-                handle, _ = pending.pop(index)
-                try:
-                    pool.free(handle, time=time)
-                except AllocationError:  # pragma: no cover - defensive
-                    pass
-        watch_fragmentation(time)
-    assert persistent_handle is None or persistent_handle >= 0
+        succeeded, failed_at = True, ""
+    except OutOfMemoryError:
+        # Fragmentation at the failure instant, not as of the last
+        # successful event — an OOM caused by external fragmentation
+        # must not be understated. ``alloc`` likewise mirrors the
+        # free-list shape stats at this instant before raising.
+        succeeded = False
+        max_frag = max(max_frag, pool.fragmentation())
+    stats = pool.stats
     return ReplayResult(
         strategy=strategy,
-        succeeded=True,
-        peak_used=pool.stats.peak_used,
+        succeeded=succeeded,
+        failed_at=failed_at,
+        peak_used=stats.peak_used,
         max_fragmentation=max_frag,
-        alloc_count=pool.stats.alloc_count,
-        largest_free_block=pool.stats.largest_free_block,
-        free_block_count=pool.stats.free_block_count,
-        max_fragmentation_time=frag_snapshot[0],
-        frag_largest_free_block=frag_snapshot[1],
-        frag_free_block_count=frag_snapshot[2],
-        frag_free_bytes=frag_snapshot[3],
-        peak_extent=pool.stats.peak_extent,
-        plan_hits=pool.stats.plan_hits,
-        plan_misses=pool.stats.plan_misses,
+        alloc_count=stats.alloc_count,
+        largest_free_block=stats.largest_free_block,
+        free_block_count=stats.free_block_count,
+        max_fragmentation_time=frag_at[0],
+        frag_largest_free_block=frag_at[1],
+        frag_free_block_count=frag_at[2],
+        frag_free_bytes=frag_at[3],
+        peak_extent=stats.peak_extent,
+        plan_hits=stats.plan_hits,
+        plan_misses=stats.plan_misses,
     )

@@ -39,12 +39,14 @@ from __future__ import annotations
 import hashlib
 import json
 from bisect import bisect_right
+from contextlib import suppress
 from dataclasses import dataclass, field
 
-from repro.errors import AllocationError, OutOfMemoryError
+from repro.errors import OutOfMemoryError
 from repro.hardware.memory_pool import (
     PERSISTENT_LABEL,
     AllocationRecord,
+    AllocationReplayer,
     MemoryPool,
     PoolRecorder,
     PoolSnapshot,
@@ -382,46 +384,30 @@ class AddressSpaceTimeline:
 
         Replays ``trace.alloc_events`` through a fresh shadow pool in
         recorded order (the log is the engine's exact dispatch order, so
-        re-sorting would shift same-timestamp placements); placement
-        failures during replay are tolerated — the offending allocation
-        simply gets no rectangle. ``plan`` threads an
+        re-sorting would shift same-timestamp placements), with the
+        live observer's :class:`~repro.hardware.memory_pool.
+        AllocationReplayer` rules, so both paths draw the same
+        rectangles. Placement failures are tolerated — the offending
+        allocation simply gets no rectangle. ``plan`` threads an
         :class:`~repro.planner.address_plan.AddressPlan` into the
         shadow pool for the ``"planned"`` strategy.
         """
         pool = MemoryPool(capacity=capacity, strategy=strategy, plan=plan)
         recorder = PoolRecorder(snapshot_every=snapshot_every)
         pool.recorder = recorder
-        handles: dict[str, list[tuple[int, int]]] = {}
+        replayer = AllocationReplayer(pool)
         if trace.persistent_bytes:
-            try:
-                handle = pool.alloc(
-                    trace.persistent_bytes, label=PERSISTENT_LABEL,
-                    time=0.0, instr="<run begin>",
+            with suppress(OutOfMemoryError):
+                replayer.alloc(
+                    0.0, PERSISTENT_LABEL, trace.persistent_bytes,
+                    instr="<run begin>",
                 )
-                handles[PERSISTENT_LABEL] = [(handle, trace.persistent_bytes)]
-            except OutOfMemoryError:
-                pass
         for time, label, nbytes in trace.alloc_events:
             if nbytes > 0:
-                try:
-                    handle = pool.alloc(nbytes, label=label, time=time)
-                except OutOfMemoryError:
-                    continue
-                handles.setdefault(label, []).append((handle, nbytes))
+                with suppress(OutOfMemoryError):
+                    replayer.alloc(time, label, nbytes)
             else:
-                pending = handles.get(label)
-                if pending:
-                    size = -nbytes
-                    index = next(
-                        (i for i, (_, sz) in enumerate(pending)
-                         if sz == size),
-                        0,
-                    )
-                    handle, _ = pending.pop(index)
-                    try:
-                        pool.free(handle, time=time)
-                    except AllocationError:  # pragma: no cover - defensive
-                        pass
+                replayer.free(time, label, -nbytes)
         return cls(
             name=trace.name,
             capacity=capacity,
@@ -657,9 +643,9 @@ class MemscopeObserver(EngineObserver):
     observers cannot mutate engine state, so the executed plan and trace
     stay byte-identical with or without it. The observer replays the
     ledger's alloc/free event stream through a shadow
-    :class:`~repro.hardware.memory_pool.MemoryPool`, matching frees to
-    handles per-label by requested size (FIFO fallback), exactly as the
-    allocator-replay analysis does.
+    :class:`~repro.hardware.memory_pool.MemoryPool` with the shared
+    :class:`~repro.hardware.memory_pool.AllocationReplayer`, which
+    decides which shadow block each ledger free releases.
 
     ``capacity`` overrides the shadow address-space size (default: the
     GPU's memory). Attached mid-run (``attach_observer``) the observer
@@ -687,15 +673,12 @@ class MemscopeObserver(EngineObserver):
     def _reset(self) -> None:
         self.pool: MemoryPool | None = None
         self.recorder: PoolRecorder | None = None
+        self.replayer: AllocationReplayer | None = None
         self.capacity = 0
         self.name = ""
         self.gpu_name = ""
         #: Ledger-exact ``(time, used_bytes)`` samples.
         self.occupancy: list[tuple[float, int]] = []
-        self._handles: dict[str, list[tuple[int, int]]] = {}
-        #: Allocations alive in the ledger the shadow pool failed to
-        #: place (placement OOM while the engine proceeded).
-        self._unplaced: dict[str, list[int]] = {}
         self.placement_failures: list[OOMPostmortem] = []
         #: Postmortem of the engine-level OOM, if the run died of one.
         self.postmortem: OOMPostmortem | None = None
@@ -729,6 +712,7 @@ class MemscopeObserver(EngineObserver):
         )
         self.recorder = PoolRecorder(snapshot_every=self.snapshot_every)
         self.pool.recorder = self.recorder
+        self.replayer = AllocationReplayer(self.pool)
 
     def _lazy_pool(self, used: int) -> None:
         """Mid-run attach: size an address space without ``on_run_begin``."""
@@ -738,22 +722,17 @@ class MemscopeObserver(EngineObserver):
     def _shadow_alloc(
         self, time: float, label: str, nbytes: int, instr: str = "",
     ) -> None:
-        assert self.pool is not None
+        assert self.replayer is not None
         try:
-            handle = self.pool.alloc(
-                nbytes, label=label, time=time, instr=instr,
-            )
+            self.replayer.alloc(time, label, nbytes, instr)
         except OutOfMemoryError:
             # The shadow pool can fragment where the byte ledger cannot;
-            # record the forensics and keep tracking the bytes as
-            # unplaced so the matching free doesn't release a stranger.
+            # record the forensics. The replayer keeps the bytes live
+            # but unplaced, so the matching free releases nothing.
             self.placement_failures.append(analyze_failed_alloc(
                 self.pool, nbytes, label=label, time=time,
                 recorder=self.recorder,
             ))
-            self._unplaced.setdefault(label, []).append(nbytes)
-            return
-        self._handles.setdefault(label, []).append((handle, nbytes))
 
     def on_alloc(self, time: float, label: str, nbytes: int,
                  used: int) -> None:
@@ -770,29 +749,8 @@ class MemscopeObserver(EngineObserver):
         """Sample the ledger level and release the matching shadow block."""
         self.occupancy.append((time, used))
         self._last_time = max(self._last_time, time)
-        if not nbytes or self.pool is None:
-            return
-        unplaced = self._unplaced.get(label)
-        pending = self._handles.get(label)
-        if pending:
-            index = next(
-                (i for i, (_, sz) in enumerate(pending) if sz == nbytes),
-                None,
-            )
-            if index is None and unplaced and nbytes in unplaced:
-                unplaced.remove(nbytes)
-                return
-            handle, _ = pending.pop(index if index is not None else 0)
-            try:
-                self.pool.free(handle, time=time)
-            except AllocationError:  # pragma: no cover - defensive
-                pass
-        elif unplaced:
-            # Free of a placement-failed (or pre-attach) allocation.
-            if nbytes in unplaced:
-                unplaced.remove(nbytes)
-            else:
-                unplaced.pop(0)
+        if nbytes and self.replayer is not None:
+            self.replayer.free(time, label, nbytes)
 
     def on_instr_end(
         self, label: str, kind: str, stream: str, start: float, end: float,

@@ -515,39 +515,11 @@ class MemoryCurve:
     def _bump(
         self, windows: list[tuple[int, int, int]], sign: float,
     ) -> None:
-        """Apply interval deltas in one batched scatter-add.
-
-        Interval bytes are integers below 2^53, so float accumulation is
-        exact in any order — the batched update stays byte-identical to
-        the former per-window loop. Small batches (incremental plan
-        deltas run a median of ~20 windows) stay on the plain loop,
-        which beats ``np.fromiter`` + ``np.add.at`` fixed costs below
-        ~32 windows; the full-curve build and recompute-chain updates
-        run hundreds to thousands of windows and take the batched path.
-        """
-        if not windows:
-            return
-        count = len(windows)
-        if count < 32:
-            for start, end, nbytes in windows:
-                value = sign * nbytes
-                self._delta[start] += value
-                self._delta[min(end + 1, self.steps)] -= value
-            return
-        starts = np.fromiter(
-            (w[0] for w in windows), dtype=np.intp, count=count,
-        )
-        ends = np.fromiter(
-            (min(w[1] + 1, self.steps) for w in windows),
-            dtype=np.intp, count=count,
-        )
-        nbytes = np.fromiter(
-            (w[2] for w in windows), dtype=np.float64, count=count,
-        )
-        if sign < 0:
-            nbytes = -nbytes
-        np.add.at(self._delta, starts, nbytes)
-        np.add.at(self._delta, ends, -nbytes)
+        """Add (``sign=1``) or remove (``sign=-1``) interval deltas."""
+        for start, end, nbytes in windows:
+            value = sign * nbytes
+            self._delta[start] += value
+            self._delta[min(end + 1, self.steps)] -= value
 
     def _remove_tensor(self, tid: int) -> tuple[tuple[int, int, int], ...]:
         windows = self._windows.pop(tid, ())

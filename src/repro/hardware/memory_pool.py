@@ -22,8 +22,8 @@ _STRATEGIES = ("best_fit", "first_fit", "worst_fit", "segregated", "planned")
 ALIGNMENT = 256
 
 #: Label of the pre-allocated persistent region (weights, optimizer
-#: state, inputs). Shared by the allocator replay, memscope's shadow
-#: pool and the address planner so planned streams line up.
+#: state, inputs). Every :class:`AllocationReplayer` consumer allocates
+#: it first under this label, so planned streams line up.
 PERSISTENT_LABEL = "<persistent>"
 
 #: "segregated" strategy: allocations below this size are carved from
@@ -677,3 +677,83 @@ class MemoryPool:
         self._update_shape_stats()
         if self.recorder is not None:
             self.recorder.on_reset(self, time)
+
+
+class AllocationReplayer:
+    """Replays a byte ledger's alloc/free stream, optionally into a pool.
+
+    The engine's ledger frees by ``(label, bytes)``, not by handle, and
+    labels are not unique: one label can hold several live allocations
+    of different sizes (a tensor's full buffer and a micro-piece). This
+    class is the one place that decides which live allocation a free
+    releases, for the allocator replay, memscope's shadow pool and the
+    address planner alike:
+
+    * a free releases the oldest live allocation of its label with the
+      freed byte count, falling back to the label's oldest (FIFO) when
+      no size matches; at each step a placed allocation goes before one
+      the pool failed to place;
+    * an allocation the pool failed to place stays live, unplaced, so
+      its free releases nothing rather than a stranger's block.
+
+    Every allocation gets a sequence number, counting from 0 in stream
+    order. Without a pool the replayer only matches frees to sequence
+    numbers.
+    """
+
+    __slots__ = ("pool", "_next_seq", "_live", "_handles")
+
+    def __init__(self, pool: MemoryPool | None = None) -> None:
+        self.pool = pool
+        self._next_seq = 0
+        #: label -> live ``(seq, requested bytes, placed)``, oldest first.
+        self._live: dict[str, list[tuple[int, int, bool]]] = {}
+        #: seq -> pool handle of every live placed allocation.
+        self._handles: dict[int, int] = {}
+
+    def alloc(
+        self, time: float, label: str, nbytes: int, instr: str = "",
+    ) -> int:
+        """Allocate ``nbytes`` for ``label``; returns its sequence number.
+
+        Raises
+        ------
+        OutOfMemoryError
+            If the pool cannot place it. The allocation is still
+            remembered (unplaced), so its later free releases nothing.
+        """
+        seq = self._next_seq
+        self._next_seq += 1
+        live = self._live.setdefault(label, [])
+        if self.pool is not None:
+            try:
+                self._handles[seq] = self.pool.alloc(
+                    nbytes, label=label, time=time, instr=instr,
+                )
+            except OutOfMemoryError:
+                live.append((seq, nbytes, False))
+                raise
+        live.append((seq, nbytes, True))
+        return seq
+
+    def free(self, time: float, label: str, nbytes: int) -> int | None:
+        """Release ``nbytes`` of ``label``; returns the freed allocation's
+        sequence number, or ``None`` when the label has nothing live."""
+        live = self._live.get(label)
+        if not live:
+            return None
+        pick = 0
+        if len(live) > 1:
+            pick = min(
+                range(len(live)),
+                key=lambda i: (live[i][1] != nbytes, not live[i][2], i),
+            )
+        seq, _, placed = live.pop(pick)
+        if placed and self.pool is not None:
+            self.pool.free(self._handles.pop(seq), time=time)
+        return seq
+
+    def offset(self, seq: int) -> int:
+        """Pool address of a live placed allocation."""
+        assert self.pool is not None
+        return self.pool.block_offset(self._handles[seq])

@@ -44,6 +44,7 @@ import numpy as np
 from repro.hardware.memory_pool import (
     ALIGNMENT,
     PERSISTENT_LABEL,
+    AllocationReplayer,
     MemoryPool,
     _align,
 )
@@ -152,6 +153,44 @@ class AddressPlan:
         return _digest(self.to_dict())
 
 
+def _replay(
+    trace: ExecutionTrace, pool: MemoryPool | None = None,
+) -> tuple[list[AllocationInterval], int, list[int]]:
+    """:func:`extract_intervals`, optionally placing into ``pool``.
+
+    With a ``pool`` every allocation is also placed in it and the third
+    element lists the offsets in interval order (a failed placement
+    raises :class:`~repro.errors.OutOfMemoryError`); without one it is
+    empty.
+    """
+    replayer = AllocationReplayer(pool)
+    events = trace.alloc_events
+    if trace.persistent_bytes:
+        events = [(0.0, PERSISTENT_LABEL, trace.persistent_bytes), *events]
+    births: list[tuple[str, int, int, float]] = []
+    ends: dict[int, tuple[int, float]] = {}
+    offsets: list[int] = []
+    for index, (time, label, nbytes) in enumerate(events):
+        if nbytes > 0:
+            seq = replayer.alloc(time, label, nbytes)
+            births.append((label, nbytes, index, time))
+            if pool is not None:
+                offsets.append(replayer.offset(seq))
+        else:
+            seq = replayer.free(time, label, -nbytes)
+            if seq is not None:
+                ends[seq] = (index, time)
+    total_events = len(events)
+    intervals = []
+    for seq, (label, nbytes, start, birth) in enumerate(births):
+        end, death = ends.get(seq, (total_events, None))
+        intervals.append(AllocationInterval(
+            seq=seq, label=label, nbytes=nbytes, size=_align(nbytes),
+            start=start, end=end, birth=birth, death=death,
+        ))
+    return intervals, total_events, offsets
+
+
 def extract_intervals(
     trace: ExecutionTrace,
 ) -> tuple[list[AllocationInterval], int]:
@@ -159,53 +198,11 @@ def extract_intervals(
 
     Returns ``(intervals, total_events)`` where event index 0 is the
     persistent region (when present) and indices advance one per
-    recorded alloc/free event. Frees are matched to live allocations
-    per label by the freed byte count with a FIFO fallback — the exact
-    convention of the allocator replay and memscope's shadow pool, so
-    the planned stream and the replayed stream agree allocation by
-    allocation. Never-freed intervals end at ``total_events``.
+    recorded alloc/free event. Frees are matched to live allocations by
+    :class:`~repro.hardware.memory_pool.AllocationReplayer`.
+    Never-freed intervals end at ``total_events``.
     """
-    intervals: list[AllocationInterval] = []
-    #: label -> indices into ``intervals`` of live allocations, FIFO.
-    live: dict[str, list[int]] = {}
-    index = 0
-    if trace.persistent_bytes:
-        intervals.append(AllocationInterval(
-            seq=0, label=PERSISTENT_LABEL,
-            nbytes=trace.persistent_bytes,
-            size=_align(trace.persistent_bytes),
-            start=index, end=-1, birth=0.0,
-        ))
-        live[PERSISTENT_LABEL] = [0]
-        index += 1
-    ends: dict[int, tuple[int, float]] = {}
-    for time, label, nbytes in trace.alloc_events:
-        if nbytes > 0:
-            live.setdefault(label, []).append(len(intervals))
-            intervals.append(AllocationInterval(
-                seq=len(intervals), label=label, nbytes=nbytes,
-                size=_align(nbytes), start=index, end=-1, birth=time,
-            ))
-        else:
-            pending = live.get(label)
-            if pending:
-                size = -nbytes
-                pick = next(
-                    (k for k, j in enumerate(pending)
-                     if intervals[j].nbytes == size),
-                    0,  # no size match: fall back to oldest-first
-                )
-                ends[pending.pop(pick)] = (index, time)
-        index += 1
-    total_events = index
-    for j, interval in enumerate(intervals):
-        end, death = ends.get(j, (total_events, None))
-        intervals[j] = AllocationInterval(
-            seq=interval.seq, label=interval.label,
-            nbytes=interval.nbytes, size=interval.size,
-            start=interval.start, end=end, birth=interval.birth,
-            death=death,
-        )
+    intervals, total_events, _ = _replay(trace)
     return intervals, total_events
 
 
@@ -268,57 +265,38 @@ def _pack_bfd(
 
 
 def _replay_best_fit(
-    intervals: list[AllocationInterval], total_events: int,
-) -> tuple[list[int], int]:
+    trace: ExecutionTrace,
+) -> tuple[list[AllocationInterval], int, list[int], int]:
     """The placements an unbounded online best-fit pool produces.
 
-    Replays the stream in event order through a real
+    Replays the stream through a real
     :class:`~repro.hardware.memory_pool.MemoryPool` whose capacity is
     generous enough (twice the total aligned footprint) that the top
     free block is always strictly larger than any bounded hole — so
     best-fit only spills onto the high-watermark when no hole fits,
     exactly as an infinite strip would, and the resulting extent is
-    capacity-independent. Returns ``(offsets in interval order,
-    address extent)``.
+    capacity-independent. Returns ``(intervals, total_events, offsets
+    in interval order, address extent)``.
     """
-    if not intervals:
-        return [], 0
-    footprint = sum(iv.size for iv in intervals)
+    footprint = _align(trace.persistent_bytes) + sum(
+        _align(nbytes) for _, _, nbytes in trace.alloc_events if nbytes > 0
+    )
     pool = MemoryPool(capacity=2 * footprint + ALIGNMENT,
                       strategy="best_fit")
-    ops: list[tuple[int, int, int]] = []
-    for k, iv in enumerate(intervals):
-        ops.append((iv.start, 0, k))
-        if iv.end < total_events:
-            ops.append((iv.end, 1, k))
-    ops.sort()
-    offsets = [0] * len(intervals)
-    handles: dict[int, int] = {}
-    for _, kind, k in ops:
-        if kind == 0:
-            handle = pool.alloc(
-                intervals[k].nbytes, label=intervals[k].label,
-                time=intervals[k].birth,
-            )
-            handles[k] = handle
-            offsets[k] = pool.block_offset(handle)
-        else:
-            pool.free(handles.pop(k))
-    return offsets, pool.stats.peak_extent
+    intervals, total_events, offsets = _replay(trace, pool)
+    return intervals, total_events, offsets, pool.stats.peak_extent
 
 
 def best_fit_extent(trace: ExecutionTrace) -> int:
-    """Address extent an unbounded online best-fit pool needs.
+    """Address extent an unbounded online best-fit pool reaches.
 
-    The reference point for the packer: a best-fit replay of ``trace``
-    succeeds at exactly the capacities ``>=`` this extent (the generous
-    replay makes the same placement decisions as any non-OOMing bounded
-    one), and :func:`plan_addresses` guarantees ``packed_peak <=``
-    this value.
+    The reference point for the packer: :func:`plan_addresses`
+    guarantees ``packed_peak <=`` this value. It is *not* the exact
+    capacity threshold of a bounded best-fit pool: a bounded pool's
+    top free block is smaller, so it can place differently and need
+    more or less than this extent.
     """
-    intervals, total_events = extract_intervals(trace)
-    _, extent = _replay_best_fit(intervals, total_events)
-    return extent
+    return _replay_best_fit(trace)[3]
 
 
 def plan_addresses(
@@ -332,9 +310,8 @@ def plan_addresses(
     planned strategy is never worse than the online pool it replaces.
     Deterministic: the same trace yields a byte-identical plan.
     """
-    intervals, total_events = extract_intervals(trace)
+    intervals, _, online_offsets, online_peak = _replay_best_fit(trace)
     bfd_offsets, bfd_peak = _pack_bfd(intervals)
-    online_offsets, online_peak = _replay_best_fit(intervals, total_events)
     if bfd_peak <= online_peak:
         offsets, peak, heuristic = bfd_offsets, bfd_peak, "bfd"
     else:  # pragma: no cover - BFD rarely loses, but never silently

@@ -7,6 +7,7 @@ from repro.errors import AllocationError, OutOfMemoryError
 from repro.hardware.memory_pool import (
     ALIGNMENT,
     SEGREGATION_THRESHOLD,
+    AllocationReplayer,
     MemoryPool,
     PoolRecorder,
     _align,
@@ -456,3 +457,39 @@ class TestPlannedStrategy:
         pool = MemoryPool(capacity=1024)
         with pytest.raises(AllocationError, match="handle"):
             pool.block_offset(12345)
+
+
+class TestAllocationReplayer:
+    """The one free-matching rule every allocation-stream replay uses."""
+
+    def test_sequence_numbers_without_a_pool(self):
+        replayer = AllocationReplayer()
+        assert replayer.alloc(0.0, "x", 256) == 0
+        assert replayer.alloc(0.0, "y", 512) == 1
+        assert replayer.alloc(0.0, "x", 512) == 2
+        assert replayer.free(1.0, "x", 512) == 2
+        assert replayer.free(1.0, "ghost", 256) is None
+        assert replayer.free(1.0, "x", 512) == 0  # FIFO fallback
+        assert replayer.free(1.0, "x", 256) is None
+
+    def test_unplaced_free_releases_nothing(self):
+        pool = MemoryPool(capacity=1024)
+        replayer = AllocationReplayer(pool)
+        replayer.alloc(0.0, "x", 256)
+        replayer.alloc(0.0, "y", 512)
+        with pytest.raises(OutOfMemoryError):
+            replayer.alloc(0.0, "x", 512)
+        assert replayer.free(1.0, "x", 512) == 2
+        assert pool.used_bytes == 768
+        assert replayer.free(1.0, "x", 256) == 0
+        assert pool.used_bytes == 512
+
+    def test_placed_allocation_goes_before_unplaced(self):
+        pool = MemoryPool(capacity=512)
+        replayer = AllocationReplayer(pool)
+        replayer.alloc(0.0, "x", 512)
+        with pytest.raises(OutOfMemoryError):
+            replayer.alloc(0.0, "x", 512)
+        # Both are live with the freed size: the placed one is released.
+        assert replayer.free(1.0, "x", 512) == 0
+        assert pool.used_bytes == 0

@@ -157,6 +157,34 @@ class TestTimeline:
         ]
         assert live == offline
 
+    def test_from_trace_matches_observer_after_placement_failure(self):
+        # x's 512 B allocation fails to place; its free must release
+        # nothing, so x@0 stays and z lands in the hole at 768 on both
+        # the live and the offline path.
+        events = [
+            (0.0, "x", 256), (1.0, "y", 512), (2.0, "x", 512),
+            (3.0, "x", -512), (4.0, "z", 256),
+        ]
+        trace = dataclasses.replace(
+            self.result.trace, persistent_bytes=0, alloc_events=events,
+        )
+        scope = MemscopeObserver(capacity=1024)
+        used = 0
+        for time, label, nbytes in events:
+            used += nbytes
+            notify = scope.on_alloc if nbytes > 0 else scope.on_free
+            notify(time, label, abs(nbytes), used)
+        assert len(scope.placement_failures) == 1
+        rectangles = [
+            (r.label, r.offset, r.death) for r in scope.recorder.records
+        ]
+        assert rectangles == [("x", 0, None), ("y", 256, None),
+                              ("z", 768, None)]
+        rebuilt = AddressSpaceTimeline.from_trace(trace, 1024)
+        assert [
+            (r.label, r.offset, r.death) for r in rebuilt.records
+        ] == rectangles
+
     def test_digest_is_deterministic(self):
         assert self.timeline.digest() == self.scope.timeline().digest()
 
