@@ -35,10 +35,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.cluster_sweep import (  # noqa: E402
-    ClusterPointSpec,
-    run_cluster_point,
-)
+from repro.analysis.cluster_sweep import cluster_point  # noqa: E402
 from repro.analysis.runner import evaluate  # noqa: E402
 from repro.hardware.gpu import GPU_PRESETS  # noqa: E402
 from repro.pipeline import CompileCache  # noqa: E402
@@ -60,12 +57,11 @@ def bench_scaling(
     for model, per_rank in models:
         for mode in MODES:
             for world in worlds:
-                spec = ClusterPointSpec(
-                    model=model, policy="tsplit", batch=per_rank * world,
-                    gpu=gpu, world=world, mode=mode,
-                )
                 started = time.perf_counter()
-                point = run_cluster_point(spec, cache=cache)
+                point = cluster_point(
+                    model, "tsplit", per_rank * world, gpu, world,
+                    mode=mode, cache=cache,
+                )
                 wall = time.perf_counter() - started
                 row = {
                     "model": model,
@@ -109,10 +105,10 @@ def bench_zero_vs_offload(
         raise AssertionError(
             f"zero_offload baseline infeasible: {offload.failure}"
         )
-    sharded = run_cluster_point(ClusterPointSpec(
-        model="gpt", policy="tsplit", batch=per_rank * 4,
-        gpu=gpu, world=4, mode="zero_shard",
-    ), cache=cache)
+    sharded = cluster_point(
+        "gpt", "tsplit", per_rank * 4, gpu, 4,
+        mode="zero_shard", cache=cache,
+    )
     if not sharded.feasible:
         raise AssertionError(f"zero_shard infeasible: {sharded.failure}")
     offload_peak = offload.trace.peak_memory
@@ -139,12 +135,8 @@ def bench_tsplit_admission(gpu_name: str, cache: CompileCache) -> dict:
     config = dict(
         model="bert_large", batch=512, gpu=gpu, world=2, mode="dp",
     )
-    base = run_cluster_point(
-        ClusterPointSpec(policy="base", **config), cache=cache,
-    )
-    tsplit = run_cluster_point(
-        ClusterPointSpec(policy="tsplit", **config), cache=cache,
-    )
+    base = cluster_point(policy="base", **config, cache=cache)
+    tsplit = cluster_point(policy="tsplit", **config, cache=cache)
     if base.feasible:
         raise AssertionError(
             "expected the base policy to OOM at batch 512 on 2 ranks"

@@ -44,12 +44,11 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-from repro.analysis.parallel import parallel_map  # noqa: E402
-from repro.analysis.sweep_tasks import (  # noqa: E402
-    ThroughputTaskSpec,
+from repro.analysis.parallel import (  # noqa: E402
     canonical_point_bytes,
-    run_throughput_point,
+    sweep,
 )
+from repro.analysis.throughput import throughput_point  # noqa: E402
 from repro.core.planner import PlannerOptions, TsplitPlanner  # noqa: E402
 from repro.hardware.gpu import GPU_PRESETS  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
@@ -87,11 +86,10 @@ SWEEP_POINTS = [
 ]
 
 
-def _sweep_specs(cache_dir: str | None = None) -> list[ThroughputTaskSpec]:
+def _sweep_points() -> list[functools.partial]:
     return [
-        ThroughputTaskSpec(
-            model=model, policy="tsplit", batch=batch,
-            gpu=GPU_PRESETS[gpu], cache_dir=cache_dir,
+        functools.partial(
+            throughput_point, model, "tsplit", batch, GPU_PRESETS[gpu],
         )
         for model, batch, gpu in SWEEP_POINTS
     ]
@@ -104,16 +102,13 @@ def bench_sweep_backends(workers: int) -> dict:
     pure GIL-sidestepping overlap, bounded above by the CPU count —
     expect ~1x on a single-core container and >= 2x from 4 cores up.
     """
-    specs = _sweep_specs()
-    serial_fn = functools.partial(run_throughput_point, cache=CompileCache())
+    points = _sweep_points()
     start = time.perf_counter()
-    serial_points = parallel_map(serial_fn, specs, None, backend="serial")
+    serial_points = sweep(points, backend="serial")
     serial_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    process_points = parallel_map(
-        run_throughput_point, specs, workers, backend="process",
-    )
+    process_points = sweep(points, workers, backend="process")
     process_s = time.perf_counter() - start
 
     identical = (
@@ -125,7 +120,7 @@ def bench_sweep_backends(workers: int) -> dict:
             "process-backend sweep diverged from the serial point list"
         )
     return {
-        "points": len(specs),
+        "points": len(points),
         "workers": workers,
         "cpu_count": os.cpu_count(),
         "serial_s": serial_s,
@@ -145,19 +140,20 @@ def bench_disk_cache() -> dict:
     """
     cache_dir = tempfile.mkdtemp(prefix="bench-planner-cache-")
     try:
-        specs = _sweep_specs()
-        cold_cache = CompileCache(disk_dir=cache_dir)
+        points = _sweep_points()
         start = time.perf_counter()
-        cold_points = [run_throughput_point(s, cache=cold_cache) for s in specs]
+        cold_points = sweep(
+            points, backend="serial", cache=CompileCache(disk_dir=cache_dir),
+        )
         cold_s = time.perf_counter() - start
 
         warm_cache = CompileCache(disk_dir=cache_dir)
         start = time.perf_counter()
-        warm_points = [run_throughput_point(s, cache=warm_cache) for s in specs]
+        warm_points = sweep(points, backend="serial", cache=warm_cache)
         warm_s = time.perf_counter() - start
 
         stats = warm_cache.cache_stats()
-        if stats["disk_misses"] != 0 or stats["disk_hits"] < 2 * len(specs):
+        if stats["disk_misses"] != 0 or stats["disk_hits"] < 2 * len(points):
             raise AssertionError(
                 f"warm run was expected to serve every profile/plan from "
                 f"disk, got {stats}"
@@ -167,7 +163,7 @@ def bench_disk_cache() -> dict:
         ):
             raise AssertionError("warm sweep diverged from the cold run")
         return {
-            "points": len(specs),
+            "points": len(points),
             "cold_s": cold_s,
             "warm_s": warm_s,
             "warm_speedup": cold_s / warm_s if warm_s > 0 else 0.0,

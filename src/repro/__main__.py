@@ -191,12 +191,12 @@ def cmd_sweep(args: argparse.Namespace) -> None:
         get_policy(policy)  # fail fast on typos
     backend = resolve_backend(args.backend, args.parallel)
     cache = None
-    if backend != "process":
+    if args.cache_stats:
+        if backend == "process":
+            sys.exit("--cache-stats needs a driver-side cache; use "
+                     "--backend serial or --backend thread (process "
+                     "workers keep their own caches)")
         cache = CompileCache(disk_dir=args.cache_dir)
-    elif args.cache_stats:
-        sys.exit("--cache-stats needs a driver-side cache; use "
-                 "--backend serial or --backend thread (process workers "
-                 "keep their own caches)")
     points = throughput_sweep(
         args.model, policies, batches, gpu,
         param_scale=args.param_scale, precision=args.precision,

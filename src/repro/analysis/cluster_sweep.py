@@ -1,11 +1,9 @@
-"""Cluster sweeps: rank-count scaling as picklable task specs.
+"""Cluster sweeps: rank-count scaling over picklable point calls.
 
-Mirrors :mod:`repro.analysis.sweep_tasks`: every point of a cluster
-sweep is a frozen :class:`ClusterPointSpec` naming the model, the
-parallelism mode and the cluster shape — never a closure — and
-:func:`run_cluster_point` executes one spec at module level. Both halves
-pickle, so the serial, thread and process backends of
-:func:`cluster_sweep` produce byte-identical point lists
+Every point of a cluster sweep is a ``functools.partial`` of
+:func:`cluster_point` naming the model, the parallelism mode and the
+cluster shape — never a closure — so the serial, thread and process
+backends of :func:`cluster_sweep` produce byte-identical point lists
 (``canonical_point_bytes`` compares them in tests and benchmarks).
 """
 
@@ -14,26 +12,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field
 
-from repro.analysis.parallel import parallel_map
-from repro.analysis.sweep_tasks import resolve_sweep_cache, worker_cache
+from repro.analysis.parallel import sweep
 from repro.hardware.gpu import GPUSpec
 from repro.pipeline import CompileCache
-
-
-@dataclass(frozen=True)
-class ClusterPointSpec:
-    """One (mode, world size) cluster simulation point, by name."""
-
-    model: str
-    policy: str
-    batch: int
-    gpu: GPUSpec
-    world: int
-    mode: str = "dp"
-    micros: int | None = None
-    link: str = "nvlink"
-    param_scale: float = 1.0
-    cache_dir: str | None = None
 
 
 @dataclass(frozen=True)
@@ -54,26 +35,33 @@ class ClusterPoint:
     failure: str = ""
 
 
-def run_cluster_point(
-    spec: ClusterPointSpec, cache: CompileCache | None = None,
+def cluster_point(
+    model: str,
+    policy: str,
+    batch: int,
+    gpu: GPUSpec,
+    world: int,
+    *,
+    mode: str = "dp",
+    micros: int | None = None,
+    link: str = "nvlink",
+    param_scale: float = 1.0,
+    cache: CompileCache | None = None,
 ) -> ClusterPoint:
     """Compile and execute one cluster point; never raises on OOM."""
     from repro.cluster import compile_cluster
     from repro.errors import OutOfMemoryError
     from repro.hardware.cluster import ClusterSpec
 
-    if cache is None:
-        cache = worker_cache(spec.cache_dir)
-    cluster = ClusterSpec.homogeneous(spec.gpu, spec.world, link=spec.link)
+    cluster = ClusterSpec.homogeneous(gpu, world, link=link)
     compiled = compile_cluster(
-        spec.model, spec.batch, spec.policy, cluster,
-        mode=spec.mode, micros=spec.micros, cache=cache,
-        param_scale=spec.param_scale,
+        model, batch, policy, cluster,
+        mode=mode, micros=micros, cache=cache, param_scale=param_scale,
     )
     if not compiled.feasible:
         return ClusterPoint(
-            model=spec.model, policy=spec.policy, mode=spec.mode,
-            world=spec.world, batch=spec.batch, feasible=False,
+            model=model, policy=policy, mode=mode,
+            world=world, batch=batch, feasible=False,
             failure=compiled.failure,
         )
     try:
@@ -82,13 +70,13 @@ def run_cluster_point(
         # Policies without a planning-time capacity check (e.g. base)
         # surface infeasibility at run time; report it like evaluate().
         return ClusterPoint(
-            model=spec.model, policy=spec.policy, mode=spec.mode,
-            world=spec.world, batch=spec.batch, feasible=False,
+            model=model, policy=policy, mode=mode,
+            world=world, batch=batch, feasible=False,
             failure=str(exc),
         )
     return ClusterPoint(
-        model=spec.model, policy=spec.policy, mode=spec.mode,
-        world=spec.world, batch=spec.batch, feasible=True,
+        model=model, policy=policy, mode=mode,
+        world=world, batch=batch, feasible=True,
         makespan=trace.makespan, throughput=trace.throughput,
         per_rank_peak=tuple(trace.per_rank_peak),
         comm_busy=tuple(trace.comm_busy),
@@ -98,7 +86,7 @@ def run_cluster_point(
 
 @dataclass(frozen=True)
 class ClusterSweepResult:
-    """All points of one cluster sweep, in spec order."""
+    """All points of one cluster sweep, in ``modes`` × ``worlds`` order."""
 
     points: list[ClusterPoint] = field(default_factory=list)
 
@@ -125,25 +113,18 @@ def cluster_sweep(
 ) -> ClusterSweepResult:
     """Sweep rank counts (and modes) for one model/policy configuration.
 
-    Points run through :func:`~repro.analysis.parallel.parallel_map`,
-    so ``backend`` may be ``"serial"``, ``"thread"`` or ``"process"``;
-    result order always matches the ``modes`` × ``worlds`` spec order.
+    Points run through :func:`~repro.analysis.parallel.sweep`, so
+    ``backend`` may be ``"serial"``, ``"thread"`` or ``"process"``;
+    result order always matches the ``modes`` × ``worlds`` order.
     """
-    resolved = resolve_sweep_cache(
-        backend or ("thread" if parallel else "serial"), cache, cache_dir,
-    )
-    specs = [
-        ClusterPointSpec(
-            model=model, policy=policy, batch=batch, gpu=gpu,
-            world=world, mode=mode, micros=micros, link=link,
-            param_scale=param_scale, cache_dir=cache_dir,
+    points = [
+        functools.partial(
+            cluster_point, model, policy, batch, gpu, world,
+            mode=mode, micros=micros, link=link, param_scale=param_scale,
         )
         for mode in modes
         for world in worlds
     ]
-    if resolved is not None:
-        fn = functools.partial(run_cluster_point, cache=resolved)
-    else:
-        fn = run_cluster_point
-    points = parallel_map(fn, specs, parallel, backend=backend)
-    return ClusterSweepResult(points=points)
+    return ClusterSweepResult(points=sweep(
+        points, parallel, backend=backend, cache=cache, cache_dir=cache_dir,
+    ))

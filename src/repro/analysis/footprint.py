@@ -8,14 +8,11 @@ no execution — so full grids are cheap.
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Callable, Sequence
 
-from repro.analysis.parallel import parallel_map, resolve_backend
-from repro.analysis.sweep_tasks import (
-    FootprintCellSpec,
-    freeze_overrides,
-    run_footprint_cell,
-)
+from repro.analysis.parallel import parallel_map
+from repro.analysis.runner import build_graph
 from repro.graph.graph import Graph
 from repro.graph.liveness import memory_curve
 from repro.graph.scheduler import dfs_schedule
@@ -27,6 +24,18 @@ def model_memory_requirement(graph: Graph) -> int:
     schedule = dfs_schedule(graph)
     curve = memory_curve(graph, schedule)
     return int(curve.max()) if len(curve) else 0
+
+
+def _cell_requirement(
+    builder: str | Callable[..., Graph],
+    cell: tuple[int, float],
+    **overrides,
+) -> int:
+    """Build one (batch, param_scale) grid cell and measure its peak."""
+    batch, param_scale = cell
+    return model_memory_requirement(
+        build_graph(builder, batch, param_scale=param_scale, **overrides),
+    )
 
 
 def memory_requirement_grid(
@@ -51,17 +60,9 @@ def memory_requirement_grid(
         for batch in sample_scales
         for scale in param_scales
     ]
-    specs = [
-        FootprintCellSpec(
-            builder=builder, batch=batch, param_scale=scale,
-            overrides=freeze_overrides(overrides),
-        )
-        for batch, scale in cells
-    ]
-    backend = resolve_backend(backend, parallel)
+    fn = functools.partial(_cell_requirement, builder, **overrides)
     return dict(zip(
-        cells, parallel_map(run_footprint_cell, specs, parallel,
-                            backend=backend),
+        cells, parallel_map(fn, cells, parallel, backend=backend),
     ))
 
 

@@ -40,7 +40,7 @@ import hashlib
 import json
 from bisect import bisect_right
 from contextlib import suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from repro.errors import OutOfMemoryError
 from repro.hardware.memory_pool import (
@@ -1102,6 +1102,49 @@ def run_memscope(
         report=report, observer=observer, trace=result.trace,
         chrome=chrome, compiled=compiled,
     )
+
+
+def memscope_point(
+    model: str,
+    policy: str,
+    gpu,
+    batch: int,
+    *,
+    capacity_frac: float = 1.0,
+    strategy: str = "best_fit",
+    param_scale: float = 1.0,
+    cache=None,
+    **overrides,
+) -> dict:
+    """One memscope run as a sweep point: its scalars plus content hashes.
+
+    ``timeline_digest`` and ``report_digest`` hash the shadow pool's
+    address-space timeline and the full report (postmortem included);
+    identical digests across serial, thread and process sweeps are the
+    memscope determinism contract.
+    """
+    run = run_memscope(
+        model, policy, gpu, batch,
+        param_scale=param_scale, capacity_frac=capacity_frac,
+        strategy=strategy, cache=cache, **overrides,
+    )
+    report = run.report
+    postmortem = run.observer.postmortem
+    return {
+        "model": model,
+        "policy": policy,
+        "batch": batch,
+        "capacity_frac": capacity_frac,
+        "strategy": strategy,
+        "feasible": report.feasible,
+        "peak_memory": report.peak_memory,
+        "records": len(report.timeline.records),
+        "classification": (
+            postmortem.classification if postmortem is not None else ""
+        ),
+        "timeline_digest": report.timeline.digest(),
+        "report_digest": report.digest(),
+    }
 
 
 def run_memscope_cluster(

@@ -14,20 +14,15 @@ import functools
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from repro.analysis.parallel import parallel_map, resolve_backend
-from repro.analysis.sweep_tasks import (
-    OversubscriptionReferenceSpec,
-    OversubscriptionTaskSpec,
-    resolve_sweep_cache,
-    run_oversubscription_point,
-    run_oversubscription_reference,
-)
+from repro.analysis.parallel import sweep
+from repro.analysis.runner import run_policy
 from repro.graph.graph import Graph
 from repro.graph.liveness import peak_memory
 from repro.graph.scheduler import dfs_schedule
 from repro.hardware.gpu import GPUSpec
 from repro.pipeline import CompileCache
 from repro.policies.base import MemoryPolicy
+from repro.runtime.engine import EngineOptions
 
 
 @dataclass(frozen=True)
@@ -40,6 +35,26 @@ class OversubscriptionPoint:
     feasible: bool
     throughput: float
     slowdown_vs_full: float  # iteration time / unconstrained iteration time
+
+
+def _policy_name(policy: str | MemoryPolicy) -> str:
+    return policy if isinstance(policy, str) else policy.name
+
+
+def capacity_run(
+    graph: Graph,
+    policy: str | MemoryPolicy,
+    gpu: GPUSpec,
+    capacity: int,
+    *,
+    cache: CompileCache | None = None,
+) -> tuple[bool, float, float]:
+    """``(feasible, throughput, iteration_time)`` on a resized device."""
+    result = run_policy(
+        graph, policy, gpu.with_memory(capacity),
+        engine_options=EngineOptions(record_trace=False), cache=cache,
+    )
+    return result.feasible, result.throughput, result.iteration_time
 
 
 def oversubscription_sweep(
@@ -66,49 +81,46 @@ def oversubscription_sweep(
     travels to the workers by pickle).
     """
     requirement = peak_memory(graph, dfs_schedule(graph))
-    backend = resolve_backend(backend, parallel)
-    cache = resolve_sweep_cache(backend, cache, cache_dir)
-
-    def name_of(policy: str | MemoryPolicy) -> str:
-        return policy if isinstance(policy, str) else policy.name
-
-    # Unconstrained reference time per policy (big enough device).
+    # One fan-out: each policy's unconstrained reference run (a device
+    # big enough for it), then every shrunk-capacity run.
     big_capacity = int(requirement * 1.2)
-    reference_specs = [
-        OversubscriptionReferenceSpec(
-            graph=graph, policy=policy, capacity=big_capacity,
-            gpu=gpu, cache_dir=cache_dir,
-        )
-        for policy in policies
-    ]
-    reference_fn = (
-        run_oversubscription_reference
-        if cache is None
-        else functools.partial(run_oversubscription_reference, cache=cache)
-    )
-    reference = dict(
-        parallel_map(reference_fn, reference_specs, parallel, backend=backend)
-    )
-
-    specs = [
-        OversubscriptionTaskSpec(
-            graph=graph,
-            policy=policy,
-            ratio=ratio,
-            capacity=max(1, int(requirement / ratio)),
-            gpu=gpu,
-            reference_time=reference[name_of(policy)],
-            cache_dir=cache_dir,
-        )
+    cells = [
+        (policy, ratio, max(1, int(requirement / ratio)))
         for policy in policies
         for ratio in ratios
     ]
-    fn = (
-        run_oversubscription_point
-        if cache is None
-        else functools.partial(run_oversubscription_point, cache=cache)
+    runs = sweep(
+        [
+            functools.partial(capacity_run, graph, policy, gpu, big_capacity)
+            for policy in policies
+        ] + [
+            functools.partial(capacity_run, graph, policy, gpu, capacity)
+            for policy, _, capacity in cells
+        ],
+        parallel, backend=backend, cache=cache, cache_dir=cache_dir,
     )
-    return parallel_map(fn, specs, parallel, backend=backend)
+    reference = {
+        _policy_name(policy): seconds
+        for policy, (_, _, seconds) in zip(policies, runs)
+    }
+    points = []
+    for (policy, ratio, capacity), (feasible, throughput, seconds) in zip(
+        cells, runs[len(policies):],
+    ):
+        reference_time = reference[_policy_name(policy)]
+        points.append(OversubscriptionPoint(
+            policy=_policy_name(policy),
+            ratio=ratio,
+            capacity=capacity,
+            feasible=feasible,
+            throughput=throughput,
+            slowdown_vs_full=(
+                seconds / reference_time
+                if feasible and reference_time not in (0.0, float("inf"))
+                else float("inf")
+            ),
+        ))
+    return points
 
 
 def survival_ratio(

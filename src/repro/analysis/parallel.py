@@ -1,10 +1,14 @@
-"""Shared fan-out helper for the analysis sweeps.
+"""Shared fan-out helpers for the analysis sweeps.
 
 Sweep points are independent (graph build + compile + simulated
 execution per point), so the sweeps expose ``parallel=`` / ``backend=``
-knobs and fan out over a worker pool. Two pools are available, and the
-distinction matters because the planner and the discrete-event engine
-are **pure Python** — the GIL serialises them in threads:
+knobs and fan out through :func:`sweep`. A sweep point is a
+``functools.partial`` of a module-level function that takes ``cache=``
+— never a closure — so the same point list drives every backend, and
+:func:`sweep` alone decides which :class:`~repro.pipeline.CompileCache`
+each call gets. Two pools are available, and the distinction matters
+because the planner and the discrete-event engine are **pure Python** —
+the GIL serialises them in threads:
 
 * ``backend="thread"`` shares one in-memory
   :class:`~repro.pipeline.CompileCache` by reference, so it is the right
@@ -13,10 +17,10 @@ are **pure Python** — the GIL serialises them in threads:
   disk-backed cache. Compute-bound points do **not** overlap.
 * ``backend="process"`` sidesteps the GIL entirely and is the right
   choice for compute-bound sweeps (cold profiling + planning). Worker
-  processes cannot share memory, so the per-point callable and its items
-  must be picklable (:mod:`repro.analysis.sweep_tasks` provides
-  registry-name task specs) and cache sharing goes through the
-  persistent disk tier (``cache_dir=``).
+  processes cannot share memory, so the points must be picklable
+  (registry model/policy names, module-level builders) and cache
+  sharing goes through the persistent disk tier (``cache_dir=``):
+  :func:`worker_cache` gives each worker one cache per directory.
 * ``backend="serial"`` runs the plain list comprehension.
 
 Result order always matches input order and the per-point computation is
@@ -26,11 +30,17 @@ deterministic, so all three backends produce byte-identical point lists.
 from __future__ import annotations
 
 import contextvars
+import functools
+import json
 import os
 import pickle
+import threading
 from collections.abc import Callable, Iterable, Sequence
 from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
+from dataclasses import asdict, is_dataclass
+
+from repro.pipeline import CompileCache
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -154,8 +164,8 @@ def _check_picklable(fn: Callable, items: Sequence) -> None:
     """Fail fast (and helpfully) before handing work to child processes.
 
     Probes the task function plus **one item per distinct item type** —
-    a heterogeneous spec list (say, dataclass specs with one stray
-    closure-holding entry) used to pass a first-item-only probe and
+    a heterogeneous item list (say, sweep points with one stray
+    closure among them) used to pass a first-item-only probe and
     then die deep inside the pool with an opaque ``PicklingError``; the
     per-type probe stays cheap (one ``pickle.dumps`` per type, not per
     item) while naming the failing index and type.
@@ -178,7 +188,7 @@ def _check_picklable(fn: Callable, items: Sequence) -> None:
             pickle.dumps(item)
         except Exception as exc:
             raise ValueError(
-                "backend='process' requires picklable task specs "
+                "backend='process' requires picklable sweep points "
                 "(registry model/policy names, not closures or local "
                 f"callables); item {index} of type {item_type.__name__} "
                 f"failed to pickle with: {exc}"
@@ -201,12 +211,100 @@ def parallel_map(
     """
     items = items if isinstance(items, Sequence) else list(items)
     backend = resolve_backend(backend, parallel)
+    if backend == "process":
+        # Before the one-worker shortcut, so whether a process sweep
+        # accepts a point does not depend on how many points there are.
+        _check_picklable(fn, items)
     workers = resolve_workers(parallel, len(items))
     if backend == "serial" or workers <= 1:
         return [fn(item) for item in items]
     if backend == "thread":
         with ThreadPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
-    _check_picklable(fn, items)
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(fn, items))
+
+
+#: Process-global cache registry: one CompileCache per cache directory
+#: (``None`` -> one shared in-memory cache for the whole process).
+_CACHES: dict[str | None, CompileCache] = {}
+_CACHES_LOCK = threading.Lock()
+
+
+def worker_cache(cache_dir: str | os.PathLike | None) -> CompileCache:
+    """The calling process's :class:`CompileCache` for a cache directory.
+
+    Created on first use and then reused for the process lifetime, so
+    every point a worker executes shares one in-memory tier; with a
+    ``cache_dir`` the cache is additionally disk-backed and shared
+    across workers and sessions.
+    """
+    key = (
+        os.path.abspath(os.path.expanduser(os.fspath(cache_dir)))
+        if cache_dir is not None
+        else None
+    )
+    with _CACHES_LOCK:
+        cache = _CACHES.get(key)
+        if cache is None:
+            cache = CompileCache(disk_dir=key)
+            _CACHES[key] = cache
+        return cache
+
+
+def canonical_point_bytes(points) -> bytes:
+    """Canonical byte encoding of a sweep's point list.
+
+    Dataclass points are flattened to sorted-key JSON; floats keep their
+    shortest round-trip repr, so two lists encode identically iff every
+    field is bit-identical. This is how tests and benchmarks assert that
+    serial, thread and process sweeps agree — comparing raw pickles
+    would false-negative on memoisation framing (the serial list shares
+    string objects across points; IPC-returned points do not).
+    """
+    return json.dumps(
+        [asdict(p) if is_dataclass(p) else p for p in points],
+        sort_keys=True, default=str,
+    ).encode()
+
+
+def _call_with_cache(cache: CompileCache, point: Callable):
+    return point(cache=cache)
+
+
+def _call_with_worker_cache(cache_dir: str | None, point: Callable):
+    return point(cache=worker_cache(cache_dir))
+
+
+def sweep(
+    points: Iterable[Callable],
+    parallel: int | bool | None = None,
+    *,
+    backend: str | None = None,
+    cache: CompileCache | None = None,
+    cache_dir: str | None = None,
+) -> list:
+    """``[point(cache=...) for point in points]`` on the chosen backend.
+
+    Each point is a ``functools.partial`` of a module-level function
+    taking ``cache=``; this is the one place that picks that cache.
+    Serial and thread sweeps share the caller's ``cache`` — or a fresh
+    one, disk-backed when ``cache_dir`` is set — by reference. Process
+    sweeps reject an in-memory ``cache``, which cannot cross process
+    boundaries; each worker uses :func:`worker_cache` for ``cache_dir``
+    instead. Result order matches ``points`` on every backend.
+    """
+    backend = resolve_backend(backend, parallel)
+    if backend == "process":
+        if cache is not None:
+            raise ValueError(
+                "backend='process' cannot share the driver's in-memory "
+                "CompileCache; pass cache_dir= to share artifacts "
+                "through the persistent disk tier instead"
+            )
+        run = functools.partial(_call_with_worker_cache, cache_dir)
+    else:
+        if cache is None:
+            cache = CompileCache(disk_dir=cache_dir)
+        run = functools.partial(_call_with_cache, cache)
+    return parallel_map(run, points, parallel, backend=backend)

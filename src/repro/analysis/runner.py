@@ -24,7 +24,7 @@ from repro.policies.base import MemoryPolicy
 from repro.runtime.engine import EngineOptions
 from repro.runtime.observers import EngineObserver
 
-__all__ = ["EvalResult", "evaluate", "run_iterations", "run_policy"]
+__all__ = ["EvalResult", "build_graph", "evaluate", "run_iterations", "run_policy"]
 
 
 def run_policy(
@@ -81,6 +81,23 @@ def run_iterations(
     return durations, compiled.result
 
 
+def build_graph(
+    model_builder, batch: int, *, param_scale: float = 1.0, **overrides,
+) -> Graph:
+    """Build a model at one (batch, param_scale) point.
+
+    ``model_builder`` is either a registry name or a callable with the
+    registry signature ``(batch, *, param_scale=..., **overrides)``.
+    """
+    if isinstance(model_builder, str):
+        from repro.models.registry import build_model
+
+        return build_model(
+            model_builder, batch, param_scale=param_scale, **overrides,
+        )
+    return model_builder(batch, param_scale=param_scale, **overrides)
+
+
 def evaluate(
     model_builder,
     policy: MemoryPolicy | str,
@@ -94,21 +111,12 @@ def evaluate(
     cache: CompileCache | None = None,
     **model_overrides,
 ) -> EvalResult:
-    """Build the model at the given scale and run one policy on it.
-
-    ``model_builder`` is either a registry name or a callable with the
-    registry signature ``(batch, *, param_scale=..., **overrides)``.
-    """
-    if isinstance(model_builder, str):
-        from repro.models.registry import build_model
-
-        graph = build_model(
-            model_builder, batch, param_scale=param_scale, **model_overrides,
-        )
-    else:
-        graph = model_builder(batch, param_scale=param_scale, **model_overrides)
+    """Build the model at the given scale and run one policy on it."""
     return run_policy(
-        graph, policy, gpu,
+        build_graph(
+            model_builder, batch, param_scale=param_scale, **model_overrides,
+        ),
+        policy, gpu,
         augment_options=augment_options,
         engine_options=engine_options,
         observers=observers,

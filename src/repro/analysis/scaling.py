@@ -12,14 +12,8 @@ from __future__ import annotations
 import functools
 from collections.abc import Callable
 
-from repro.analysis.parallel import parallel_map, resolve_backend
+from repro.analysis.parallel import sweep
 from repro.analysis.runner import EvalResult, evaluate
-from repro.analysis.sweep_tasks import (
-    ScaleCellSpec,
-    freeze_overrides,
-    resolve_sweep_cache,
-    run_scale_cell,
-)
 from repro.core.augment import AugmentOptions
 from repro.hardware.gpu import GPUSpec
 from repro.pipeline import CompileCache
@@ -163,22 +157,15 @@ def scale_table(
     """
     if axis not in ("sample", "parameter"):
         raise ValueError(f"axis must be 'sample' or 'parameter', not {axis!r}")
-    backend = resolve_backend(backend, parallel)
-    cache = resolve_sweep_cache(backend, cache, cache_dir)
+    search = max_sample_scale if axis == "sample" else max_param_scale
     cells = [(model, policy) for model in models for policy in policies]
-    specs = [
-        ScaleCellSpec(
-            model=model, policy=policy, gpu=gpu, axis=axis,
-            kwargs=freeze_overrides(kwargs), cache_dir=cache_dir,
-        )
-        for model, policy in cells
-    ]
-    fn = (
-        run_scale_cell
-        if cache is None
-        else functools.partial(run_scale_cell, cache=cache)
+    results = sweep(
+        [
+            functools.partial(search, model, policy, gpu, **kwargs)
+            for model, policy in cells
+        ],
+        parallel, backend=backend, cache=cache, cache_dir=cache_dir,
     )
-    results = parallel_map(fn, specs, parallel, backend=backend)
     table: dict[str, dict[str, int]] = {model: {} for model in models}
     for (model, policy), value in zip(cells, results):
         table[model][policy] = value

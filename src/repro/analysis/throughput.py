@@ -12,15 +12,11 @@ import functools
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
-from repro.analysis.parallel import parallel_map, resolve_backend
-from repro.analysis.sweep_tasks import (
-    ThroughputTaskSpec,
-    freeze_overrides,
-    resolve_sweep_cache,
-    run_throughput_point,
-)
+from repro.analysis.parallel import sweep
+from repro.analysis.runner import evaluate
 from repro.hardware.gpu import GPUSpec
 from repro.pipeline import CompileCache
+from repro.runtime.engine import EngineOptions
 
 
 @dataclass(frozen=True)
@@ -35,6 +31,47 @@ class SweepPoint:
     pcie_utilization: float
     peak_memory: int
     failure: str = ""
+
+
+def throughput_point(
+    model: str | Callable,
+    policy: str,
+    batch: int,
+    gpu: GPUSpec,
+    *,
+    param_scale: float = 1.0,
+    cache: CompileCache | None = None,
+    **overrides,
+) -> SweepPoint:
+    """Measure one (policy, batch) point; infeasibility is kept, not raised."""
+    result = evaluate(
+        model, policy, gpu, batch,
+        param_scale=param_scale,
+        engine_options=EngineOptions(record_trace=False),
+        cache=cache,
+        **overrides,
+    )
+    if result.feasible and result.trace is not None:
+        trace = result.trace
+        return SweepPoint(
+            policy=policy,
+            batch=batch,
+            feasible=True,
+            throughput=trace.throughput,
+            iteration_time=trace.iteration_time,
+            pcie_utilization=trace.pcie_utilization,
+            peak_memory=trace.peak_memory,
+        )
+    return SweepPoint(
+        policy=policy,
+        batch=batch,
+        feasible=False,
+        throughput=0.0,
+        iteration_time=float("inf"),
+        pcie_utilization=0.0,
+        peak_memory=0,
+        failure=result.failure,
+    )
 
 
 def throughput_sweep(
@@ -54,30 +91,24 @@ def throughput_sweep(
 
     Points are independent; ``parallel=`` fans them out over the chosen
     ``backend`` (threads by default; ``"process"`` sidesteps the GIL for
-    compute-bound sweeps but requires a registry ``model`` name). With
-    threads the shared ``cache`` (created here when not supplied) means
-    each batch size is profiled once, not once per policy; with
-    processes the same sharing goes through the ``cache_dir`` disk tier.
+    compute-bound sweeps but requires a picklable ``model``: a registry
+    name or a module-level builder). With threads the shared ``cache``
+    (created by ``sweep`` when not supplied) means each batch size is
+    profiled once, not once per policy; with processes the same sharing
+    goes through the ``cache_dir`` disk tier.
     Point order and values are identical across backends.
     """
-    backend = resolve_backend(backend, parallel)
-    cache = resolve_sweep_cache(backend, cache, cache_dir)
-    specs = [
-        ThroughputTaskSpec(
-            model=model, policy=policy, batch=batch, gpu=gpu,
-            param_scale=param_scale,
-            overrides=freeze_overrides(overrides),
-            cache_dir=cache_dir,
+    points = [
+        functools.partial(
+            throughput_point, model, policy, batch, gpu,
+            param_scale=param_scale, **overrides,
         )
         for policy in policies
         for batch in batches
     ]
-    fn = (
-        run_throughput_point
-        if cache is None
-        else functools.partial(run_throughput_point, cache=cache)
+    return sweep(
+        points, parallel, backend=backend, cache=cache, cache_dir=cache_dir,
     )
-    return parallel_map(fn, specs, parallel, backend=backend)
 
 
 def speedups_over(

@@ -555,17 +555,10 @@ def replan_chaos_sweep(
     model, policy, intensity and fault seed are all embedded, so
     parallel sweeps sharing one directory never overwrite each other.
     """
-    from pathlib import Path
-
-    from repro import telemetry
     from repro.pipeline.cache import CompileCache
     from repro.pipeline.compile import compile_run
-    from repro.runtime.observers import ChromeTraceObserver
 
     cache = cache if cache is not None else CompileCache()
-    if trace_dir is not None:
-        trace_dir = Path(trace_dir)
-        trace_dir.mkdir(parents=True, exist_ok=True)
     clean = compile_run(graph, policy, gpu, cache=cache)
     report = ReplanChaosReport(
         model=graph.name,
@@ -576,78 +569,116 @@ def replan_chaos_sweep(
         iterations=iterations,
         fault_class=fault_class,
     )
-    for intensity in intensities:
-        for seed in seeds:
-            faults = fault_class_config(
-                fault_class, intensity, seed,
-                emergency_eviction=emergency_eviction,
-            )
-            static_obs: tuple = ()
-            dynamic_obs: tuple = ()
-            if trace_dir is not None:
-                static_obs = (ChromeTraceObserver(),)
-                dynamic_obs = (ChromeTraceObserver(),)
-            static = compile_run(
-                graph, policy, gpu, cache=cache,
-                iterations=iterations, faults=faults,
-                observers=static_obs,
-            )
-            if trace_dir is None:
-                dynamic = compile_run(
-                    graph, policy, gpu, cache=cache,
-                    iterations=iterations, faults=faults, replan=replan,
-                )
-            else:
-                with telemetry.session(
-                    metrics=False, provenance=False, spans=True,
-                ) as tel:
-                    dynamic = compile_run(
-                        graph, policy, gpu, cache=cache,
-                        iterations=iterations, faults=faults, replan=replan,
-                        observers=dynamic_obs,
-                    )
-                telemetry.write_trace(
-                    trace_dir / artifact_name(
-                        "chaos", graph.name, report.policy,
-                        intensity=intensity, seed=seed,
-                        suffix="static", ext="trace.json",
-                    ),
-                    telemetry.merge_traces(
-                        static_obs[0], names=["engine (static)"],
-                    ),
-                )
-                telemetry.write_trace(
-                    trace_dir / artifact_name(
-                        "chaos", graph.name, report.policy,
-                        intensity=intensity, seed=seed,
-                        suffix="dynamic", ext="trace.json",
-                    ),
-                    telemetry.merge_traces(
-                        dynamic_obs[0], tel.tracer,
-                        names=["engine (dynamic)", "pipeline"],
-                    ),
-                )
-            static_ok = static.result.feasible
-            dynamic_ok = dynamic.result.feasible
-            trace = dynamic.result.trace
-            rep = dynamic.replan
-            report.points.append(ReplanPoint(
-                intensity=intensity,
-                seed=seed,
-                static_feasible=static_ok,
-                dynamic_feasible=dynamic_ok,
-                static_time=(
-                    sum(static.executed.durations) if static_ok else 0.0
-                ),
-                dynamic_time=(
-                    sum(dynamic.executed.durations) if dynamic_ok else 0.0
-                ),
-                static_failure=static.result.failure,
-                dynamic_failure=dynamic.result.failure,
-                replans=rep.replans if rep else 0,
-                reverts=rep.reverts if rep else 0,
-                pressure_events=len(rep.events) if rep else 0,
-                recovery_actions=trace.recovery_actions if dynamic_ok else 0,
-                stream_digest=rep.stream_digest() if rep else "",
-            ))
+    report.points = [
+        replan_point(
+            graph, policy, gpu, intensity, seed,
+            iterations=iterations, fault_class=fault_class,
+            emergency_eviction=emergency_eviction, replan=replan,
+            trace_dir=trace_dir, cache=cache,
+        )
+        for intensity in intensities
+        for seed in seeds
+    ]
     return report
+
+
+def replan_point(
+    graph: Graph,
+    policy,
+    gpu: GPUSpec,
+    intensity: float,
+    seed: int,
+    *,
+    iterations: int = 4,
+    fault_class: str = "mixed",
+    emergency_eviction: bool = True,
+    replan=True,
+    trace_dir=None,
+    cache: CompileCache | None = None,
+) -> ReplanPoint:
+    """One static-vs-dynamic comparison under one seeded fault schedule.
+
+    The point of :func:`replan_chaos_sweep`; with ``trace_dir`` set it
+    also writes the static and dynamic Chrome traces there.
+    """
+    from pathlib import Path
+
+    from repro import telemetry
+    from repro.pipeline.compile import compile_run
+    from repro.runtime.observers import ChromeTraceObserver
+
+    faults = fault_class_config(
+        fault_class, intensity, seed,
+        emergency_eviction=emergency_eviction,
+    )
+    static_obs: tuple = ()
+    dynamic_obs: tuple = ()
+    if trace_dir is not None:
+        trace_dir = Path(trace_dir)
+        trace_dir.mkdir(parents=True, exist_ok=True)
+        static_obs = (ChromeTraceObserver(),)
+        dynamic_obs = (ChromeTraceObserver(),)
+    static = compile_run(
+        graph, policy, gpu, cache=cache,
+        iterations=iterations, faults=faults,
+        observers=static_obs,
+    )
+    if trace_dir is None:
+        dynamic = compile_run(
+            graph, policy, gpu, cache=cache,
+            iterations=iterations, faults=faults, replan=replan,
+        )
+    else:
+        with telemetry.session(
+            metrics=False, provenance=False, spans=True,
+        ) as tel:
+            dynamic = compile_run(
+                graph, policy, gpu, cache=cache,
+                iterations=iterations, faults=faults, replan=replan,
+                observers=dynamic_obs,
+            )
+        policy_name = static.result.policy
+        telemetry.write_trace(
+            trace_dir / artifact_name(
+                "chaos", graph.name, policy_name,
+                intensity=intensity, seed=seed,
+                suffix="static", ext="trace.json",
+            ),
+            telemetry.merge_traces(
+                static_obs[0], names=["engine (static)"],
+            ),
+        )
+        telemetry.write_trace(
+            trace_dir / artifact_name(
+                "chaos", graph.name, policy_name,
+                intensity=intensity, seed=seed,
+                suffix="dynamic", ext="trace.json",
+            ),
+            telemetry.merge_traces(
+                dynamic_obs[0], tel.tracer,
+                names=["engine (dynamic)", "pipeline"],
+            ),
+        )
+    static_ok = static.result.feasible
+    dynamic_ok = dynamic.result.feasible
+    trace = dynamic.result.trace
+    rep = dynamic.replan
+    return ReplanPoint(
+        intensity=intensity,
+        seed=seed,
+        static_feasible=static_ok,
+        dynamic_feasible=dynamic_ok,
+        static_time=(
+            sum(static.executed.durations) if static_ok else 0.0
+        ),
+        dynamic_time=(
+            sum(dynamic.executed.durations) if dynamic_ok else 0.0
+        ),
+        static_failure=static.result.failure,
+        dynamic_failure=dynamic.result.failure,
+        replans=rep.replans if rep else 0,
+        reverts=rep.reverts if rep else 0,
+        pressure_events=len(rep.events) if rep else 0,
+        recovery_actions=trace.recovery_actions if dynamic_ok else 0,
+        stream_digest=rep.stream_digest() if rep else "",
+    )

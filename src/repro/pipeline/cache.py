@@ -146,6 +146,7 @@ class CompileCache:
             self.disk_dir.mkdir(parents=True, exist_ok=True)
         self._entries: OrderedDict[str, object] = OrderedDict()
         self._lock = threading.Lock()
+        self._compute_locks = tuple(threading.Lock() for _ in range(64))
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -223,6 +224,15 @@ class CompileCache:
                 raise
         except (OSError, pickle.PicklingError):
             pass
+
+    def compute_lock(self, key: str) -> threading.Lock:
+        """The lock to hold across a get-compute-put of ``key``.
+
+        Concurrent callers that miss on one key then compute its
+        artifact once; the others wait and hit. Locks are striped over
+        keys, so unrelated keys rarely share one.
+        """
+        return self._compute_locks[hash(key) % len(self._compute_locks)]
 
     def get(self, key: str, kind: str = ""):
         """Return the cached artifact or ``None``; counts hit/miss.

@@ -177,12 +177,15 @@ class ProfileStage:
         self, graph: Graph, gpu: GPUSpec, cache: CompileCache | None = None,
     ) -> ProfileArtifact:
         """Profile the graph, or return the cached artifact for its key."""
-        key = ""
-        if cache is not None:
-            metrics = get_telemetry().metrics
-            with metrics.timer("compile_cache.profile.key_seconds").time():
-                key = self.key(graph, gpu)
-        if cache is not None:
+        if cache is None:
+            return ProfileArtifact(
+                key="", graph_signature="", schedule=dfs_schedule(graph),
+                profile=self.profiler.profile(graph),
+            )
+        metrics = get_telemetry().metrics
+        with metrics.timer("compile_cache.profile.key_seconds").time():
+            key = self.key(graph, gpu)
+        with cache.compute_lock(key):
             hit = cache.get(key, kind="profile")
             if hit is not None:
                 return ProfileArtifact(
@@ -192,13 +195,12 @@ class ProfileStage:
                     profile=hit.profile,
                     cached=True,
                 )
-        artifact = ProfileArtifact(
-            key=key,
-            graph_signature=graph_signature(graph) if cache is not None else "",
-            schedule=dfs_schedule(graph),
-            profile=self.profiler.profile(graph),
-        )
-        if cache is not None:
+            artifact = ProfileArtifact(
+                key=key,
+                graph_signature=graph_signature(graph),
+                schedule=dfs_schedule(graph),
+                profile=self.profiler.profile(graph),
+            )
             cache.put(key, artifact, kind="profile")
         return artifact
 

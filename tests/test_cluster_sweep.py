@@ -1,15 +1,11 @@
-"""Cluster sweeps: spec/point plumbing and cross-backend determinism."""
+"""Cluster sweeps: point plumbing and cross-backend determinism."""
 
 from __future__ import annotations
 
 import pytest
 
-from repro.analysis.cluster_sweep import (
-    ClusterPointSpec,
-    cluster_sweep,
-    run_cluster_point,
-)
-from repro.analysis.sweep_tasks import canonical_point_bytes
+from repro.analysis.cluster_sweep import cluster_point, cluster_sweep
+from repro.analysis.parallel import canonical_point_bytes
 from repro.hardware.gpu import GPU_PRESETS
 
 V100 = GPU_PRESETS["v100_16gb"]
@@ -20,10 +16,7 @@ SWEEP_KWARGS = dict(
 
 
 def test_point_specs_flatten_cluster_traces():
-    spec = ClusterPointSpec(
-        model="transformer", policy="base", batch=8, gpu=V100, world=2,
-    )
-    point = run_cluster_point(spec)
+    point = cluster_point("transformer", "base", 8, V100, 2)
     assert point.feasible, point.failure
     assert point.mode == "dp" and point.world == 2
     assert len(point.per_rank_peak) == 2
@@ -32,9 +25,7 @@ def test_point_specs_flatten_cluster_traces():
 
 def test_infeasible_points_are_reported_not_raised():
     tiny = V100.with_memory(1 << 20)
-    point = run_cluster_point(ClusterPointSpec(
-        model="transformer", policy="base", batch=8, gpu=tiny, world=2,
-    ))
+    point = cluster_point("transformer", "base", 8, tiny, 2)
     assert not point.feasible
     assert point.failure
     assert point.per_rank_peak == ()

@@ -9,6 +9,7 @@ around mid-run attach/detach.
 """
 
 import dataclasses
+import functools
 import json
 
 from repro.analysis.memscope import (
@@ -17,14 +18,14 @@ from repro.analysis.memscope import (
     MemscopeObserver,
     analyze_failed_alloc,
     eviction_admits,
+    memscope_point,
     minimal_eviction_set,
     run_memscope,
     run_memscope_cluster,
     tensor_residency,
 )
-from repro.analysis.parallel import parallel_map
+from repro.analysis.parallel import sweep
 from repro.analysis.runner import run_policy
-from repro.analysis.sweep_tasks import MemscopeTaskSpec, run_memscope_point
 from repro.faults import FaultConfig
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.memory_pool import ALIGNMENT, MemoryPool, PoolRecorder
@@ -434,21 +435,29 @@ class TestBackendDeterminism:
     """Identical digests across serial, thread, and process backends."""
 
     def test_digests_agree_across_backends(self):
-        spec = MemscopeTaskSpec(
-            model="vgg16", policy="base", batch=4,
-            gpu=BIG_GPU, param_scale=0.25,
-        )
-        reference = run_memscope_point(spec)
+        # Two points, so the thread and process pools really run; the
+        # second OOMs, so a postmortem crosses the process boundary too.
+        points = [
+            functools.partial(
+                memscope_point, "vgg16", "base", BIG_GPU, 4,
+                param_scale=0.25, capacity_frac=frac,
+            )
+            for frac in (1.0, 0.1)
+        ]
+        references = [point() for point in points]
+        reference = references[0]
         assert reference["timeline_digest"]
         assert reference["report_digest"]
+        oom = references[1]
+        assert not oom["feasible"]
+        assert oom["classification"]
         for backend in ("serial", "thread", "process"):
-            points = parallel_map(
-                run_memscope_point, [spec], parallel=2, backend=backend,
-            )
-            assert points[0]["timeline_digest"] == \
-                reference["timeline_digest"], backend
-            assert points[0]["report_digest"] == \
-                reference["report_digest"], backend
+            results = sweep(points, parallel=2, backend=backend)
+            for got, want in zip(results, references):
+                assert got["timeline_digest"] == \
+                    want["timeline_digest"], backend
+                assert got["report_digest"] == \
+                    want["report_digest"], backend
 
 
 class TestClusterMemscope:

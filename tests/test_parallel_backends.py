@@ -1,5 +1,6 @@
 """Sweep fan-out backends: serial / thread / process equivalence."""
 
+import functools
 import os
 import pickle
 import threading
@@ -14,20 +15,16 @@ from repro.analysis.parallel import (
     MAX_WORKERS_ENV,
     _check_picklable,
     active_worker_budget,
+    canonical_point_bytes,
     parallel_map,
     resolve_backend,
     resolve_workers,
+    sweep,
     worker_budget,
-)
-from repro.analysis.scaling import scale_table
-from repro.analysis.sweep_tasks import (
-    ThroughputTaskSpec,
-    canonical_point_bytes,
-    resolve_sweep_cache,
-    run_throughput_point,
     worker_cache,
 )
-from repro.analysis.throughput import throughput_sweep
+from repro.analysis.scaling import scale_table
+from repro.analysis.throughput import throughput_point, throughput_sweep
 from repro.hardware.gpu import GPU_PRESETS
 from repro.pipeline import CompileCache
 from tests.conftest import BIG_GPU, build_tiny_cnn
@@ -178,25 +175,35 @@ class TestParallelMap:
                 lambda x: x * captured, range(4), 2, backend="process",
             )
 
+    def test_process_backend_checks_a_single_point_too(self):
+        """Regression: with one point the process backend ran inline and
+        skipped the probe, so a closure builder passed with one batch
+        and failed with two."""
+
+        def local_builder(batch, **kwargs):
+            return build_tiny_cnn(batch=batch, **kwargs)
+
+        with pytest.raises(ValueError, match="picklable"):
+            throughput_sweep(
+                local_builder, ["base"], [16], GPU,
+                parallel=2, backend="process",
+            )
+
     def test_check_picklable_passes_module_level(self):
         _check_picklable(
-            run_throughput_point,
-            [ThroughputTaskSpec(
-                model="vgg16", policy="base", batch=8, gpu=GPU,
-            )],
+            len,
+            [functools.partial(throughput_point, "vgg16", "base", 8, GPU)],
         )
 
     def test_probe_names_failing_index_and_type(self):
-        """Regression: a heterogeneous spec list with one stray closure
+        """Regression: a heterogeneous item list with one stray closure
         used to pass a first-item-only probe and die inside the pool."""
-        specs = [
-            ThroughputTaskSpec(
-                model="vgg16", policy="base", batch=8, gpu=GPU,
-            ),
+        points = [
+            functools.partial(throughput_point, "vgg16", "base", 8, GPU),
             lambda: None,  # the stray unpicklable entry, *not* first
         ]
         with pytest.raises(ValueError, match="item 1 of type function"):
-            _check_picklable(run_throughput_point, specs)
+            _check_picklable(len, points)
 
     def test_probe_is_per_type_not_per_item(self, monkeypatch):
         calls = []
@@ -215,21 +222,34 @@ class TestParallelMap:
         assert calls.count("int") == 1 and calls.count("str") == 1
 
 
+def _cache_of(cache):
+    """A sweep point that reports the cache ``sweep`` handed it."""
+    return cache
+
+
 class TestSweepCacheResolution:
     def test_process_backend_rejects_in_memory_cache(self):
         with pytest.raises(ValueError, match="cache_dir"):
-            resolve_sweep_cache("process", CompileCache(), None)
+            sweep([_cache_of], backend="process", cache=CompileCache())
 
-    def test_process_backend_returns_none(self):
-        assert resolve_sweep_cache("process", None, None) is None
+    def test_process_backend_uses_worker_cache(self, tmp_path):
+        [cache] = sweep(
+            [_cache_of], backend="process", cache_dir=str(tmp_path),
+        )
+        assert cache is worker_cache(str(tmp_path))
 
     def test_thread_backend_passes_cache_through(self):
         cache = CompileCache()
-        assert resolve_sweep_cache("thread", cache, None) is cache
+        assert sweep(
+            [_cache_of, _cache_of], 2, backend="thread", cache=cache,
+        ) == [cache, cache]
 
     def test_serial_backend_builds_disk_cache(self, tmp_path):
-        cache = resolve_sweep_cache("serial", None, str(tmp_path))
-        assert cache is not None and cache.disk_dir is not None
+        first, second = sweep(
+            [_cache_of, _cache_of], backend="serial",
+            cache_dir=str(tmp_path),
+        )
+        assert first is second and first.disk_dir is not None
 
     def test_worker_cache_is_per_directory_singleton(self, tmp_path):
         a = worker_cache(str(tmp_path))
@@ -271,14 +291,22 @@ class TestBackendEquivalence:
             self._sweep("process", cache=CompileCache())
 
     def test_infeasible_points_identical_too(self):
+        # Two points, so the thread and process pools really run.
         tiny = GPU.with_memory(32 * 2**20)
         serial = throughput_sweep(
-            "vgg16", ["base"], [256], tiny, backend="serial",
+            "vgg16", ["base"], [256, 512], tiny, backend="serial",
+        )
+        thread = throughput_sweep(
+            "vgg16", ["base"], [256, 512], tiny,
+            parallel=2, backend="thread",
         )
         process = throughput_sweep(
-            "vgg16", ["base"], [256], tiny, parallel=2, backend="process",
+            "vgg16", ["base"], [256, 512], tiny,
+            parallel=2, backend="process",
         )
         assert not serial[0].feasible
+        assert not serial[1].feasible
+        assert canonical_point_bytes(serial) == canonical_point_bytes(thread)
         assert canonical_point_bytes(serial) == canonical_point_bytes(process)
 
 
@@ -296,17 +324,32 @@ class TestOtherSweepsAcceptBackend:
         assert serial == process
         assert serial[build_tiny_cnn]["base"] > 0
 
-    def test_oversubscription_backends_agree(self):
+    def test_oversubscription_backends_agree(self, monkeypatch):
         graph = build_tiny_cnn(batch=16)
         serial = oversubscription_sweep(
             graph, ["base", "vdnn_all"], BIG_GPU,
             ratios=(1.0, 2.0), backend="serial",
+        )
+        pools = []
+        real_pool = parallel_mod.ProcessPoolExecutor
+
+        class RecordingPool(real_pool):
+            """Counts the process pools one sweep starts."""
+
+            def __init__(self, max_workers=None, **kwargs):
+                pools.append(max_workers)
+                super().__init__(max_workers=max_workers, **kwargs)
+
+        monkeypatch.setattr(
+            parallel_mod, "ProcessPoolExecutor", RecordingPool,
         )
         process = oversubscription_sweep(
             graph, ["base", "vdnn_all"], BIG_GPU,
             ratios=(1.0, 2.0), parallel=2, backend="process",
         )
         assert canonical_point_bytes(serial) == canonical_point_bytes(process)
+        # One fan-out covers the reference runs and the shrunk runs.
+        assert pools == [2]
 
     def test_footprint_grid_backends_agree(self):
         serial = memory_requirement_grid(

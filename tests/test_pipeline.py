@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import os
+import threading
+import time
 
 import pytest
 
@@ -64,6 +66,36 @@ class TestProfileCache:
         shrunk = GPU.with_memory(GPU.memory_bytes // 2)
         again = stage.run(graph, shrunk, cache=cache)
         assert again.cached
+
+    def test_concurrent_misses_profile_once(self, graph, monkeypatch):
+        """Two threads missing on one profile key profile it once."""
+        calls = []
+        real_profile = Profiler.profile
+
+        def slow_profile(self, g):
+            calls.append(threading.get_ident())
+            time.sleep(0.2)  # both threads are inside run() by now
+            return real_profile(self, g)
+
+        monkeypatch.setattr(Profiler, "profile", slow_profile)
+        cache = CompileCache()
+        stage = ProfileStage(Profiler(GPU))
+        barrier = threading.Barrier(2)
+        results = []
+
+        def run():
+            barrier.wait()
+            results.append(stage.run(graph, GPU, cache=cache))
+
+        threads = [threading.Thread(target=run) for _ in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        assert len(calls) == 1
+        assert sorted(r.cached for r in results) == [False, True]
+        assert cache.cache_stats()["kinds"]["profile"]["misses"] == 1
 
     def test_plan_key_sees_capacity(self, graph):
         """Plans, unlike profiles, must re-key when capacity changes."""

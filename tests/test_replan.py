@@ -15,6 +15,7 @@ Covers the acting half of the DELTA-style loop built on top of the
 from __future__ import annotations
 
 import dataclasses
+import functools
 
 import pytest
 
@@ -291,37 +292,37 @@ class TestLastBoundaryGuard:
 class TestBackendDeterminism:
     """The same points replanned on any backend are byte-identical."""
 
-    def specs(self, cache_dir):
-        from repro.analysis.sweep_tasks import ReplanTaskSpec
+    def points(self):
+        from repro.faults.chaos import replan_point
+        from repro.models.registry import build_model
 
         gpu = GPU_PRESETS["gtx_1080ti"]
         gpu = gpu.with_memory(int(gpu.memory_bytes * 0.5))
+        graph = build_model("resnet152", 64)
         return [
-            ReplanTaskSpec(
-                model="resnet152", batch=64, policy="tsplit", gpu=gpu,
-                fault_class="degraded_pcie", intensity=intensity, seed=0,
-                iterations=4, cache_dir=cache_dir,
+            functools.partial(
+                replan_point, graph, "tsplit", gpu, intensity, 0,
+                fault_class="degraded_pcie", iterations=4,
             )
             for intensity in (0.0, 1.0)
         ]
 
     def test_serial_thread_process_agree(self, tmp_path):
-        from repro.analysis.parallel import parallel_map
-        from repro.analysis.sweep_tasks import run_replan_point
+        from repro.analysis.parallel import sweep
 
-        specs = self.specs(str(tmp_path))
+        points = self.points()
         results = {
-            backend: parallel_map(
-                run_replan_point, specs, 2, backend=backend,
+            backend: sweep(
+                points, 2, backend=backend, cache_dir=str(tmp_path),
             )
             for backend in ("serial", "thread", "process")
         }
         assert results["serial"] == results["thread"]
         assert results["serial"] == results["process"]
         degraded = results["serial"][1]
-        assert degraded["replans"] >= 1
-        assert degraded["dynamic_time_s"] < degraded["static_time_s"]
-        assert degraded["stream_digest"]
+        assert degraded.replans >= 1
+        assert degraded.dynamic_time < degraded.static_time
+        assert degraded.stream_digest
 
 
 class _StubController:
