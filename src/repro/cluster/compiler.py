@@ -703,6 +703,8 @@ def _emit_chunk(
     # Each receive marker gates the first in-chunk consumer of its
     # boundary tensor — gating the whole chunk would wedge mutually
     # dependent backward chunks (partial-gradient flows go both ways).
+    # The zero-byte marker is freed right after that consumer, so the
+    # next iteration's recv can allocate it again.
     gates: dict[int, list[TensorRef]] = {}
     for tid, src, nbytes in inbound:
         if forward_phase.get(tid, Phase.FORWARD) is not phase:
@@ -735,12 +737,13 @@ def _emit_chunk(
                 if not last:
                     continue
                 emitted = remap(instr, to_base=True)
-                markers = gates.get(idx)
+                markers = gates.get(idx, ())
                 if markers:
                     emitted = dataclasses.replace(
                         emitted, inputs=(*emitted.inputs, *markers),
                     )
                 out.append(emitted)
+                out.extend(FreeInstr(marker) for marker in markers)
                 out.extend(sends.get(idx, ()))
                 continue
             if (
@@ -753,12 +756,13 @@ def _emit_chunk(
                     out.append(remap(instr, to_base=True))
                 continue
         emitted = remap(instr)
-        markers = gates.get(idx)
+        markers = gates.get(idx, ())
         if markers and isinstance(emitted, ComputeInstr):
             emitted = dataclasses.replace(
                 emitted, inputs=(*emitted.inputs, *markers),
             )
         out.append(emitted)
+        out.extend(FreeInstr(marker) for marker in markers)
         out.extend(sends.get(idx, ()))
         if micro > 0:
             for tid, (site_idx, refs) in grad_sites.items():

@@ -1,15 +1,15 @@
 """The N-rank discrete-event cluster engine.
 
-Generalises the single-GPU :class:`~repro.runtime.engine.Engine` to a
-cluster: one :class:`~repro.runtime.engine._Run` per rank (its own
-stream set, lanes and :class:`~repro.hardware.memory_pool.
-DeviceMemoryLedger`), advanced by a single global dispatcher under one
+Runs the single-GPU engine's one dispatch loop,
+:func:`~repro.runtime.engine.dispatch`, over a cluster: one
+:class:`~repro.runtime.engine._Run` per rank (its own stream set, lanes
+and :class:`~repro.hardware.memory_pool.DeviceMemoryLedger`) under one
 event clock. Non-collective instructions dispatch exactly as on the
 single engine — the earliest-starting lane head across *all* ranks wins,
 ties broken by (rank, issue order) — which is why a one-rank cluster
 executes byte-identically to the plain engine.
 
-Collectives synchronise ranks at dispatch time: a
+The cluster supplies the collective rendezvous: a
 :class:`~repro.runtime.instructions.CollectiveInstr` becomes
 dispatchable only when the matching instruction (same ``comm_id``) is
 the locally-ready lane head on **every** rank of its group. The group
@@ -18,29 +18,21 @@ occupies each member's lane for the duration given by the cluster's
 link cost model (:mod:`repro.hardware.cluster`). A program whose
 collective wiring can never rendezvous (mismatched orders, missing
 peers) wedges the dispatcher and raises, exactly like a data-dependency
-deadlock on the single engine.
+deadlock on the single engine. This module only builds the per-rank
+runs and aggregates their traces into a :class:`ClusterTrace`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from repro.errors import OutOfMemoryError, RuntimeExecutionError
+from repro.errors import RuntimeExecutionError
 from repro.hardware.cluster import ClusterSpec
 from repro.hardware.pcie import PCIeModel
-from repro.runtime.engine import EngineOptions, _Blocked, _Candidate, _Run
-from repro.runtime.instructions import CollectiveInstr, Program
+from repro.runtime.engine import EngineOptions, _Run, dispatch, iterate
+from repro.runtime.instructions import Program
 from repro.runtime.observers import EngineObserver
 from repro.runtime.trace import ExecutionTrace
-
-
-def _kinds_match(a: str, b: str) -> bool:
-    """Whether two members can be shares of one collective.
-
-    Symmetric collectives require identical kinds; a point-to-point
-    transfer pairs a ``send`` with a ``recv``.
-    """
-    return a == b or {a, b} == {"send", "recv"}
 
 
 @dataclass
@@ -135,28 +127,9 @@ class ClusterEngine:
         RuntimeExecutionError
             On inconsistent programs or unmatchable collective wiring.
         """
-        world = self.cluster.world_size
-        if len(programs) != world:
-            raise RuntimeExecutionError(
-                f"cluster of {world} ranks needs {world} programs, "
-                f"got {len(programs)}"
-            )
-        runs: list[_Run] = []
-        for rank, (gpu, program) in enumerate(
-            zip(self.cluster.gpus, programs),
-        ):
-            extra = observers[rank] if observers else ()
-            runs.append(_Run(gpu, PCIeModel(gpu), program, self.options, extra))
-        self._dispatch_all(runs)
-        traces = [run.finalize() for run in runs]
-        return ClusterTrace(
-            name=programs[0].name,
-            world_size=world,
-            makespan=max((run.clock for run in runs), default=0.0),
-            ranks=traces,
-            comm_busy=[run.comm_busy() for run in runs],
-            collective_bytes=[run.collective_bytes for run in runs],
-        )
+        runs = self._runs(programs, observers)
+        dispatch(runs, self.cluster)
+        return self._trace(programs, runs)
 
     def execute_iterations(
         self,
@@ -183,165 +156,44 @@ class ClusterEngine:
         much the global clock advanced rank ``i``'s completion front)
         plus the aggregate :class:`ClusterTrace`.
         """
+        runs = self._runs(programs, observers)
+        durations = iterate(runs, iterations, boundary_hook, self.cluster)
+        return durations, self._trace(programs, runs)
+
+    def _runs(
+        self,
+        programs: list[Program],
+        observers: list[list[EngineObserver]] | None,
+    ) -> list[_Run]:
+        """One run per rank, after checking the per-rank argument counts."""
         world = self.cluster.world_size
         if len(programs) != world:
             raise RuntimeExecutionError(
                 f"cluster of {world} ranks needs {world} programs, "
                 f"got {len(programs)}"
             )
-        if iterations < 1:
+        if observers is not None and len(observers) != world:
             raise RuntimeExecutionError(
-                f"iterations must be >= 1, got {iterations}"
+                f"cluster of {world} ranks needs {world} observer lists, "
+                f"got {len(observers)}"
             )
-        runs: list[_Run] = []
-        for rank, (gpu, program) in enumerate(
-            zip(self.cluster.gpus, programs),
-        ):
-            extra = observers[rank] if observers else ()
-            runs.append(_Run(gpu, PCIeModel(gpu), program, self.options, extra))
-        durations: list[list[float]] = [[] for _ in range(world)]
-        previous = [0.0] * world
-        for index in range(iterations):
-            self._dispatch_all(runs)
-            for rank, run in enumerate(runs):
-                start, previous[rank] = previous[rank], run.clock
-                durations[rank].append(run.clock - start)
-                for observer in run.observers:
-                    observer.on_iteration_end(index, start, run.clock)
-            if boundary_hook is not None and index + 1 < iterations:
-                swaps = boundary_hook(index, runs) or {}
-                for rank, program in sorted(swaps.items()):
-                    if program is not None and program is not runs[rank].program:
-                        runs[rank].swap_program(program)
+        return [
+            _Run(gpu, PCIeModel(gpu), program, self.options,
+                 observers[rank] if observers else ())
+            for rank, (gpu, program) in enumerate(
+                zip(self.cluster.gpus, programs),
+            )
+        ]
+
+    @staticmethod
+    def _trace(programs: list[Program], runs: list[_Run]) -> ClusterTrace:
+        """Finalize every rank's run into the aggregate trace."""
         traces = [run.finalize() for run in runs]
-        return durations, ClusterTrace(
+        return ClusterTrace(
             name=programs[0].name,
-            world_size=world,
+            world_size=len(runs),
             makespan=max((run.clock for run in runs), default=0.0),
             ranks=traces,
             comm_busy=[run.comm_busy() for run in runs],
             collective_bytes=[run.collective_bytes for run in runs],
-        )
-
-    # -- global dispatch ---------------------------------------------------------
-
-    def _dispatch_all(self, runs: list[_Run]) -> None:
-        remaining = sum(run._enqueue_pass() for run in runs)
-        while remaining:
-            best: tuple[tuple[float, int, int], _Run, _Candidate] | None = None
-            stuck: tuple[tuple[int, int], _Blocked, _Run] | None = None
-            pending: dict[int, list[tuple[int, _Run, _Candidate]]] = {}
-            for rank, run in enumerate(runs):
-                for lane in run.lanes.values():
-                    if not lane.queue:
-                        continue
-                    head = run._prepare_head(lane)
-                    if isinstance(head, _Blocked):
-                        rank_key = (head.issue, rank)
-                        if stuck is None or rank_key < stuck[0]:
-                            stuck = (rank_key, head, run)
-                        continue
-                    instr = head.instr
-                    if (
-                        isinstance(instr, CollectiveInstr)
-                        and len(instr.group) > 1
-                    ):
-                        pending.setdefault(instr.comm_id, []).append(
-                            (rank, run, head),
-                        )
-                        continue
-                    order = (head.start, rank, head.issue)
-                    if best is None or order < best[0]:
-                        best = (order, run, head)
-            ready = self._ready_collective(pending)
-            if best is not None and (ready is None or best[0] <= ready[0]):
-                _, run, cand = best
-                cand.lane.queue.popleft()
-                run._dispatch(cand)
-                run._commit_dispatch(cand)
-                remaining -= 1
-                continue
-            if ready is not None:
-                order, members = ready
-                start = order[0]
-                instr = members[0][2].instr
-                # A point-to-point recv advertises zero payload; the
-                # transfer is priced by the largest member share.
-                nbytes = max(m[2].instr.nbytes for m in members)
-                duration = self.cluster.collective_time(
-                    instr.kind, instr.group, nbytes,
-                )
-                for _, run, cand in members:
-                    cand.lane.queue.popleft()
-                    run._dispatch_collective(cand, start, duration)
-                    run._commit_dispatch(cand)
-                remaining -= len(members)
-                continue
-            self._raise_wedged(stuck, pending, remaining)
-
-    def _ready_collective(
-        self, pending: dict[int, list[tuple[int, _Run, _Candidate]]],
-    ) -> tuple[tuple[float, int, int], list[tuple[int, _Run, _Candidate]]] | None:
-        """The dispatchable collective with the earliest group start."""
-        chosen = None
-        for comm_id, members in pending.items():
-            instr = members[0][2].instr
-            assert isinstance(instr, CollectiveInstr)
-            for _, _, cand in members[1:]:
-                peer = cand.instr
-                if (
-                    not isinstance(peer, CollectiveInstr)
-                    or peer.group != instr.group
-                    or not _kinds_match(peer.kind, instr.kind)
-                ):
-                    raise RuntimeExecutionError(
-                        f"collective comm {comm_id} is wired inconsistently: "
-                        f"{instr.label!r} vs {peer.label!r}"
-                    )
-            if len(members) != len(instr.group):
-                continue
-            ranks = sorted(rank for rank, _, _ in members)
-            if ranks != sorted(instr.group):
-                raise RuntimeExecutionError(
-                    f"collective comm {comm_id} ({instr.label!r}) expects "
-                    f"ranks {sorted(instr.group)} but matched {ranks}"
-                )
-            start = max(cand.start for _, _, cand in members)
-            order = (
-                start,
-                min(rank for rank, _, _ in members),
-                min(cand.issue for _, _, cand in members),
-            )
-            if chosen is None or order < chosen[0]:
-                chosen = (order, members)
-        return chosen
-
-    def _raise_wedged(
-        self,
-        stuck: tuple[tuple[int, int], _Blocked, _Run] | None,
-        pending: dict[int, list[tuple[int, _Run, _Candidate]]],
-        remaining: int,
-    ) -> None:
-        if stuck is not None:
-            _, head, run = stuck
-            error = head.error
-            if isinstance(error, OutOfMemoryError):
-                for observer in run.observers:
-                    observer.on_oom(
-                        run.ledger.time, head.label,
-                        error.requested, error.available,
-                    )
-            raise error
-        if pending:
-            waiting = {
-                comm_id: sorted(rank for rank, _, _ in members)
-                for comm_id, members in sorted(pending.items())
-            }
-            raise RuntimeExecutionError(
-                f"cluster dispatcher wedged with {remaining} instructions "
-                f"left: collectives {waiting} never complete their groups "
-                f"(mismatched send/recv ordering between ranks?)"
-            )
-        raise RuntimeExecutionError(  # pragma: no cover - defensive
-            f"cluster dispatcher wedged with {remaining} instructions left"
         )

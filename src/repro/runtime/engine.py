@@ -6,13 +6,16 @@ true discrete-event system:
 * one serial **compute** stream, serial **D2H** / **H2D** copy streams
   (the paper's three CUDA streams), plus a **host** stream for
   CPU-offloaded optimizer updates;
-* a global dispatcher that always advances the lane whose head
-  instruction starts earliest (ties broken by issue order), so
-  allocation, free and swap-completion events are applied to the
+* one dispatch loop, :func:`dispatch`, that always advances the lane
+  whose head instruction starts earliest (ties broken by issue order),
+  so allocation, free and swap-completion events are applied to the
   :class:`~repro.hardware.memory_pool.DeviceMemoryLedger` in
   chronological order — ``used``, ``peak_memory`` and the Equation-3
   memory stalls are exact by construction, with no post-hoc replay of
-  the allocation log needed to recover the true peak;
+  the allocation log needed to recover the true peak. The same loop
+  advances one run per rank for the
+  :class:`~repro.runtime.cluster_engine.ClusterEngine`, which adds the
+  collective rendezvous; :class:`Engine` is its one-run case;
 * event-based dependencies: a compute kernel starts only when its input
   (micro-)tensors are ready, a swap-in only when its host copy exists,
   and a buffer is reclaimed only once *both* its eviction transfer and
@@ -50,6 +53,7 @@ from dataclasses import dataclass
 
 from repro.errors import OutOfMemoryError, RuntimeExecutionError
 from repro.faults.model import FaultConfig, FaultModel
+from repro.hardware.cluster import ClusterSpec
 from repro.hardware.gpu import GPUSpec
 from repro.hardware.memory_pool import DeviceMemoryLedger
 from repro.hardware.pcie import PCIeModel
@@ -121,7 +125,8 @@ class Engine:
             double allocation, ...).
         """
         run = _Run(self.gpu, self.pcie, program, self.options, observers)
-        return run.execute()
+        dispatch([run])
+        return run.finalize()
 
     def execute_iterations(
         self,
@@ -152,24 +157,201 @@ class Engine:
 
         Raises the same errors as :meth:`execute`.
         """
-        if iterations < 1:
-            raise RuntimeExecutionError(
-                f"iterations must be >= 1, got {iterations}"
-            )
         run = _Run(self.gpu, self.pcie, program, self.options, observers)
-        durations: list[float] = []
-        previous = 0.0
-        for index in range(iterations):
-            run.execute_instructions()
-            start, previous = previous, run.clock
-            durations.append(run.clock - start)
+        hook = None if boundary_hook is None else (
+            lambda index, runs: {0: boundary_hook(index, runs[0])}
+        )
+        durations = iterate([run], iterations, hook)
+        return durations[0], run.finalize()
+
+
+def dispatch(runs: list[_Run], cluster: ClusterSpec | None = None) -> None:
+    """Dispatch one pass of every run's program under one event clock.
+
+    The one dispatch loop of the simulator, for a single GPU (one run)
+    and for a cluster (one run per rank). Each instruction joins the
+    FIFO queue of its lane (stream); the loop repeatedly resolves every
+    lane head's candidate start time and dispatches the earliest head,
+    ties broken by ``(rank, issue)``. Because every state change a
+    dispatch makes lands at or after its start time, dispatch order is
+    chronological and each ledger sees allocation and free events in
+    time order.
+
+    A multi-member collective is held until the matching instruction
+    (same ``comm_id``) is the locally-ready head on every rank of its
+    group; the group then starts together at the latest member's ready
+    time for the duration ``cluster``'s link model gives. Without a
+    ``cluster`` such a collective is an error.
+
+    A head blocked on a dependency that an undispatched earlier
+    instruction will produce simply waits. If no head at all can
+    dispatch, a run with fault recovery enabled gets one recovery
+    action and the loop retries; otherwise the block at the lowest
+    ``(issue, rank)`` is a genuine program error (or OOM) and raises.
+    """
+    remaining = sum(run._enqueue_pass() for run in runs)
+    while remaining:
+        best: tuple[tuple[float, int, int], _Run, _Candidate] | None = None
+        stuck: tuple[tuple[int, int], _Blocked, _Run] | None = None
+        pending: dict[int, list[tuple[int, _Run, _Candidate]]] = {}
+        blocked: dict[int, list[_Blocked]] = {}
+        for rank, run in enumerate(runs):
+            for lane in run.lanes.values():
+                if not lane.queue:
+                    continue
+                head = run._prepare_head(lane)
+                if isinstance(head, _Blocked):
+                    if stuck is None or (head.issue, rank) < stuck[0]:
+                        stuck = ((head.issue, rank), head, run)
+                    if run._recovery:
+                        blocked.setdefault(rank, []).append(head)
+                    continue
+                instr = head.instr
+                if isinstance(instr, CollectiveInstr) and len(instr.group) > 1:
+                    if cluster is None:
+                        raise RuntimeExecutionError(
+                            f"{run.program.name}: collective {instr.label!r} "
+                            f"spans ranks {instr.group}; multi-rank programs "
+                            f"must run on a ClusterEngine"
+                        )
+                    pending.setdefault(instr.comm_id, []).append(
+                        (rank, run, head),
+                    )
+                    continue
+                order = (head.start, rank, head.issue)
+                if best is None or order < best[0]:
+                    best = (order, run, head)
+        ready = _ready_collective(pending) if pending else None
+        if best is not None and (ready is None or best[0] <= ready[0]):
+            _, run, cand = best
+            cand.lane.queue.popleft()
+            run._dispatch(cand)
+            run._commit_dispatch(cand)
+            remaining -= 1
+            continue
+        if ready is not None:
+            (start, _, _), members = ready
+            instr = members[0][2].instr
+            # A point-to-point recv advertises zero payload; the
+            # transfer is priced by the largest member share.
+            nbytes = max(cand.instr.nbytes for _, _, cand in members)
+            duration = cluster.collective_time(instr.kind, instr.group, nbytes)
+            for _, run, cand in members:
+                cand.lane.queue.popleft()
+                run._dispatch_collective(cand, start, duration)
+                run._commit_dispatch(cand)
+            remaining -= len(members)
+            continue
+        # Graceful degradation: with recovery enabled, a wedged machine
+        # gets one recovery action (re-fetch an emergency-evicted
+        # dependency, or evict cold residents to satisfy a terminal
+        # allocation failure) and the dispatch loop retries.
+        if any(runs[rank]._recover(heads) for rank, heads in blocked.items()):
+            continue
+        if stuck is not None:
+            _, head, run = stuck
+            error = head.error
+            if isinstance(error, OutOfMemoryError):
+                for observer in run.observers:
+                    observer.on_oom(
+                        run.ledger.time, head.label,
+                        error.requested, error.available,
+                    )
+            raise error
+        waiting = {
+            comm_id: sorted(rank for rank, _, _ in members)
+            for comm_id, members in sorted(pending.items())
+        }
+        raise RuntimeExecutionError(
+            f"cluster dispatcher wedged with {remaining} instructions "
+            f"left: collectives {waiting} never complete their groups "
+            f"(mismatched send/recv ordering between ranks?)"
+        )
+
+
+def _kinds_match(a: str, b: str) -> bool:
+    """Whether two members can be shares of one collective.
+
+    Symmetric collectives require identical kinds; a point-to-point
+    transfer pairs a ``send`` with a ``recv``.
+    """
+    return a == b or {a, b} == {"send", "recv"}
+
+
+def _ready_collective(
+    pending: dict[int, list[tuple[int, _Run, _Candidate]]],
+) -> tuple[tuple[float, int, int], list[tuple[int, _Run, _Candidate]]] | None:
+    """The pending collective whose group is complete and starts first."""
+    chosen = None
+    for comm_id, members in pending.items():
+        instr = members[0][2].instr
+        assert isinstance(instr, CollectiveInstr)
+        for _, _, cand in members[1:]:
+            peer = cand.instr
+            if (
+                not isinstance(peer, CollectiveInstr)
+                or peer.group != instr.group
+                or not _kinds_match(peer.kind, instr.kind)
+            ):
+                raise RuntimeExecutionError(
+                    f"collective comm {comm_id} is wired inconsistently: "
+                    f"{instr.label!r} vs {peer.label!r}"
+                )
+        if len(members) != len(instr.group):
+            continue
+        ranks = sorted(rank for rank, _, _ in members)
+        if ranks != sorted(instr.group):
+            raise RuntimeExecutionError(
+                f"collective comm {comm_id} ({instr.label!r}) expects "
+                f"ranks {sorted(instr.group)} but matched {ranks}"
+            )
+        order = (
+            max(cand.start for _, _, cand in members),
+            min(rank for rank, _, _ in members),
+            min(cand.issue for _, _, cand in members),
+        )
+        if chosen is None or order < chosen[0]:
+            chosen = (order, members)
+    return chosen
+
+
+def iterate(
+    runs: list[_Run],
+    iterations: int,
+    boundary_hook=None,
+    cluster: ClusterSpec | None = None,
+) -> list[list[float]]:
+    """Dispatch every run's program back to back ``iterations`` times.
+
+    One event clock spans all passes and each run's state (streams,
+    host copies, residency) carries across them. After every pass each
+    run's observers get ``on_iteration_end`` with that run's own window;
+    between passes (never after the last) an optional
+    ``boundary_hook(index, runs)`` may return a ``{rank: Program}``
+    mapping of replacement programs to hot-swap via
+    :meth:`_Run.swap_program`. Returns per-run duration lists:
+    ``durations[rank][i]`` is how far pass ``i`` advanced that run's
+    event clock, so each list sums to its run's makespan.
+    """
+    if iterations < 1:
+        raise RuntimeExecutionError(
+            f"iterations must be >= 1, got {iterations}"
+        )
+    durations: list[list[float]] = [[] for _ in runs]
+    previous = [0.0] * len(runs)
+    for index in range(iterations):
+        dispatch(runs, cluster)
+        for rank, run in enumerate(runs):
+            start, previous[rank] = previous[rank], run.clock
+            durations[rank].append(run.clock - start)
             for observer in run.observers:
                 observer.on_iteration_end(index, start, run.clock)
-            if boundary_hook is not None and index + 1 < iterations:
-                replacement = boundary_hook(index, run)
-                if replacement is not None and replacement is not run.program:
-                    run.swap_program(replacement)
-        return durations, run.finalize()
+        if boundary_hook is not None and index + 1 < iterations:
+            swaps = boundary_hook(index, runs) or {}
+            for rank, program in sorted(swaps.items()):
+                if program is not None and program is not runs[rank].program:
+                    runs[rank].swap_program(program)
+    return durations
 
 
 class _Lane:
@@ -533,71 +715,6 @@ class _Run:
 
     # -- execution ---------------------------------------------------------------
 
-    def execute(self) -> ExecutionTrace:
-        """One pass over the program, then aggregate the trace."""
-        self.execute_instructions()
-        return self.finalize()
-
-    def execute_instructions(self) -> None:
-        """Dispatch one pass over the program in chronological order.
-
-        Each instruction joins the FIFO queue of its lane (stream); the
-        dispatcher repeatedly resolves every lane head's candidate start
-        time and dispatches the earliest-starting head, ties broken by
-        issue order. Because every state change a dispatch makes lands at
-        or after its start time, dispatch order is chronological and the
-        memory ledger sees allocation and free events in time order.
-
-        A head blocked on a dependency that an undispatched earlier
-        instruction will produce simply waits; if no head at all can
-        dispatch, the block at the lowest issue position is a genuine
-        program error (or OOM) and its error is raised.
-        """
-        remaining = self._enqueue_pass()
-        while remaining:
-            best: _Candidate | None = None
-            stuck: _Blocked | None = None
-            blocked: list[_Blocked] = []
-            for lane in self.lanes.values():
-                if not lane.queue:
-                    continue
-                head = self._prepare_head(lane)
-                if isinstance(head, _Blocked):
-                    if stuck is None or head.issue < stuck.issue:
-                        stuck = head
-                    if self._recovery:
-                        blocked.append(head)
-                    continue
-                if best is None or (head.start, head.issue) < (
-                    best.start, best.issue,
-                ):
-                    best = head
-            if best is None:
-                if stuck is None:  # pragma: no cover - defensive
-                    raise RuntimeExecutionError(
-                        f"{self.program.name}: dispatcher wedged with "
-                        f"{remaining} instructions left"
-                    )
-                # Graceful degradation: with recovery enabled, a wedged
-                # machine gets one recovery action (re-fetch an
-                # emergency-evicted dependency, or evict cold residents
-                # to satisfy a terminal allocation failure) and the
-                # dispatch loop retries.
-                if self._recovery and self._recover(blocked):
-                    continue
-                error = stuck.error
-                if isinstance(error, OutOfMemoryError):
-                    for observer in self.observers:
-                        observer.on_oom(
-                            self.ledger.time, stuck.label,
-                            error.requested, error.available,
-                        )
-                raise error
-            best.lane.queue.popleft()
-            self._dispatch(best)
-            self._commit_dispatch(best)
-            remaining -= 1
-
     def _enqueue_pass(self) -> int:
         """Reset per-pass state and queue every instruction on its lane.
 
@@ -706,8 +823,8 @@ class _Run:
 
         The returned candidate's ``start`` is when *this rank* could
         join; the actual start is the maximum over the group, resolved
-        by the dispatcher that owns the rendezvous (the cluster engine,
-        or trivially this run for single-member groups).
+        by :func:`dispatch`'s rendezvous (trivially this run for
+        single-member groups).
         """
         for key, guard in self._coll_read_guard.get(issue, ()):
             if self._reads_done.get(key, 0) < guard:
@@ -959,27 +1076,11 @@ class _Run:
         elif isinstance(instr, FreeInstr):
             self._dispatch_free(cand, instr)
         elif isinstance(instr, CollectiveInstr):
-            self._dispatch_collective(
-                cand, cand.start, self._collective_duration(instr),
-            )
+            # Only single-member groups reach here: :func:`dispatch`
+            # holds multi-rank collectives for the rendezvous.
+            self._dispatch_collective(cand, cand.start, 0.0)
         else:
             self._dispatch_xfer(cand, instr)
-
-    def _collective_duration(self, instr: CollectiveInstr) -> float:
-        """Cost of a collective dispatched without a cluster context.
-
-        A single-GPU engine has no peers: only degenerate single-member
-        groups (zero cost) are executable here. Multi-rank programs must
-        run under the cluster engine, which owns the rendezvous and the
-        link cost model.
-        """
-        if len(instr.group) > 1:
-            raise RuntimeExecutionError(
-                f"{self.program.name}: collective {instr.label!r} spans "
-                f"ranks {instr.group}; multi-rank programs must run on a "
-                f"ClusterEngine"
-            )
-        return 0.0
 
     def _dispatch_collective(
         self, cand: _Candidate, start: float, duration: float,

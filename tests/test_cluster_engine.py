@@ -153,6 +153,20 @@ class TestRendezvous:
         with pytest.raises(RuntimeExecutionError, match="needs 2 programs"):
             ClusterEngine(cluster).execute([_mini_rank(0, 2, 1e-3)])
 
+    @pytest.mark.parametrize("lists", [1, 3])
+    def test_world_size_observer_count_must_match(self, lists):
+        cluster = ClusterSpec.homogeneous(V100, 2)
+        programs = [_mini_rank(0, 2, 1e-3), _mini_rank(1, 2, 1e-3)]
+        observers = [[TraceObserver()] for _ in range(lists)]
+        with pytest.raises(
+            RuntimeExecutionError, match=f"needs 2 observer lists, got {lists}",
+        ):
+            ClusterEngine(cluster).execute(programs, observers=observers)
+        with pytest.raises(RuntimeExecutionError, match="observer lists"):
+            ClusterEngine(cluster).execute_iterations(
+                programs, 2, observers=observers,
+            )
+
 
 class TestWedging:
     def test_mismatched_comm_ids_wedge_the_dispatcher(self):

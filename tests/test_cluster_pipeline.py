@@ -99,3 +99,14 @@ def test_pipeline_is_deterministic():
     assert first.makespan == second.makespan
     assert first.per_rank_peak == second.per_rank_peak
     assert first.comm_busy == second.comm_busy
+
+
+def test_pipeline_runs_back_to_back_iterations():
+    # Receive markers are freed after their consumer; a leaked marker
+    # made the second iteration's recv re-allocate a resident tensor.
+    compiled = _compile_pp(batch=16, policy="tsplit", micros=None)
+    assert compiled.feasible, compiled.failure
+    durations, trace = compiled.execute_iterations(3)
+    assert [len(rank) for rank in durations] == [3, 3]
+    assert all(d > 0 for rank in durations for d in rank)
+    assert trace.makespan == pytest.approx(max(map(sum, durations)))

@@ -385,6 +385,11 @@ class TestClusterSingleRankParity:
         assert cluster_durations == [single_durations]
         assert cluster_trace.ranks[0].records == single_trace.records
         assert cluster_trace.makespan == sum(single_durations)
+        rank0 = cluster_trace.ranks[0]
+        for field in dataclasses.fields(type(single_trace)):
+            assert getattr(rank0, field.name) == getattr(
+                single_trace, field.name,
+            ), f"field {field.name} diverged"
 
     def test_cluster_boundary_swap_is_rank_local_noop_for_identity(self):
         run = compile_run(win_graph(), "tsplit", WIN_GPU, cache=CompileCache())
