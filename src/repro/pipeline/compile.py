@@ -62,8 +62,8 @@ class CompiledRun:
     replan: ReplanReport | None = None
     #: Offline address plan (``compile_run(address_plan=True)``);
     #: ``None`` when the stage was not requested or planning failed
-    #: upstream. Stamped ``stale`` post-execution if the run deviated
-    #: from the measured allocation stream.
+    #: upstream. Stamped ``stale`` if the executed allocation stream no
+    #: longer replays on the plan.
     address_plan: AddressPlanArtifact | None = None
 
 
@@ -108,21 +108,19 @@ def compile_run(
     boundary to revert at. Without pressure the monitor never triggers
     and the executed stream is byte-identical to the static plan.
 
-    ``address_plan=True`` adds the optional post-Lower
-    :class:`~repro.pipeline.stages.AddressPlanStage`: a clean
-    measurement pass of the lowered program is strip-packed into
-    concrete addresses (``CompiledRun.address_plan``), content-cached
-    by the instruction stream's hash. Purely additive — the executed
-    plan and trace are byte-identical with ``address_plan=False``; the
-    artifact is marked ``stale`` after execution when the run deviated
-    from the measured stream (hot-swaps, emergency recovery).
+    ``address_plan=True`` adds the optional post-Execute
+    :class:`~repro.pipeline.stages.AddressPlanStage`: one clean pass
+    (the execute run itself when clean) is strip-packed into concrete
+    addresses (``CompiledRun.address_plan``), cached by plan key and
+    lowering options. Purely additive — the executed plan and trace are
+    byte-identical with ``address_plan=False``; the artifact is marked
+    ``stale`` when the executed stream no longer replays on the plan.
     """
     policy = resolve_policy(policy)
     profiler = profiler or Profiler(gpu)
+    engine_options = engine_options or EngineOptions()
     if faults is not None:
-        engine_options = replace(
-            engine_options or EngineOptions(), faults=faults,
-        )
+        engine_options = replace(engine_options, faults=faults)
     telemetry = get_telemetry()
     tracer = telemetry.tracer
     metrics = telemetry.metrics
@@ -134,7 +132,7 @@ def compile_run(
     with tracer.span("plan", model=graph.name, policy=policy.name):
         plan = PlanStage(policy).run(
             graph, gpu, profile, cache=cache,
-            faults=(engine_options.faults if engine_options else None),
+            faults=engine_options.faults,
         )
     if plan.cached:
         metrics.counter("pipeline.plan.cached").inc()
@@ -151,16 +149,6 @@ def compile_run(
     options = default_augment_options(policy, augment_options)
     with tracer.span("lower", model=graph.name, policy=policy.name):
         lowered = LowerStage(options).run(graph, plan.plan, profile)
-    address_artifact: AddressPlanArtifact | None = None
-    if address_plan:
-        with tracer.span(
-            "address_plan", model=graph.name, policy=policy.name,
-        ):
-            address_artifact = AddressPlanStage().run(
-                gpu, lowered, cache=cache,
-            )
-        if address_artifact.cached:
-            metrics.counter("pipeline.address_plan.cached").inc()
     replan_config = ReplanConfig.coerce(replan)
     controller = None
     boundary_hook = None
@@ -169,7 +157,7 @@ def compile_run(
         controller = ReplanController(
             graph, policy, gpu, profile, plan, lowered,
             config=replan_config, augment_options=options, cache=cache,
-            faults=(engine_options.faults if engine_options else None),
+            faults=engine_options.faults,
             total_iterations=iterations,
         )
         run_observers = (*tuple(observers), controller.monitor)
@@ -189,13 +177,28 @@ def compile_run(
             policy=policy.name, feasible=True,
             plan=plan.plan, trace=executed.trace,
         )
-    if address_artifact is not None and executed.feasible:
-        # A cached artifact may be shared across runs — never mutate it.
-        reasons = plan_stale_reasons(executed.trace)
+    address_artifact: AddressPlanArtifact | None = None
+    if address_plan:
+        # Only several iterations or faults can deviate from the clean
+        # pass, which is the execute run when it recorded its trace.
+        measured = iterations is None and engine_options.faults is None
+        clean = measured and engine_options.record_trace
+        with tracer.span(
+            "address_plan", model=graph.name, policy=policy.name,
+        ):
+            address_artifact = AddressPlanStage().run(
+                gpu, plan, lowered, cache=cache,
+                executed=executed if clean else None,
+            )
+        if address_artifact.cached:
+            metrics.counter("pipeline.address_plan.cached").inc()
+        reasons = plan_stale_reasons(
+            executed.trace, None if measured else address_artifact.plan,
+        ) if executed.feasible else []
         if reasons:
+            # A cached artifact may be shared across runs — never mutate it.
             address_artifact = replace(
-                address_artifact,
-                stale=True, stale_reason="; ".join(reasons),
+                address_artifact, stale=True, stale_reason="; ".join(reasons),
             )
             metrics.counter("pipeline.address_plan.stale").inc()
     return CompiledRun(

@@ -31,11 +31,7 @@ from repro.pipeline.cache import (
     gpu_perf_signature,
     graph_signature,
 )
-from repro.planner.address_plan import (
-    AddressPlan,
-    plan_addresses,
-    program_signature,
-)
+from repro.planner.address_plan import AddressPlan, plan_addresses
 from repro.policies.base import MemoryPolicy, get_policy
 from repro.runtime.engine import Engine, EngineOptions
 from repro.runtime.observers import EngineObserver
@@ -103,12 +99,12 @@ class LowerArtifact:
 class AddressPlanArtifact:
     """An offline address plan for the lowered program (or its failure).
 
-    ``error`` is set when the clean measurement pass OOMed — there is
-    no stream to pack. ``stale`` is stamped by the pipeline *after*
-    execution when the run deviated from the measured stream (plan
-    hot-swaps, emergency evictions/refetches, recovery skips): the
-    plan's addresses no longer correspond to the executed allocations,
-    and consumers must fall back to an online strategy.
+    ``error`` is set when the clean pass OOMed — there is no stream to
+    pack. ``stale`` is stamped by the pipeline when the executed stream
+    no longer replays on the plan (hot-swaps, emergency recovery, or
+    planned-replay misses): its addresses no longer correspond to the
+    executed allocations, and consumers must fall back to an online
+    strategy.
     """
 
     key: str
@@ -312,22 +308,27 @@ class LowerStage:
 class AddressPlanStage:
     """Pack the lowered program's allocation stream into addresses.
 
-    An optional post-Lower stage: one *clean* measurement pass (no
-    observers, no faults — the engine is deterministic, so the
-    measured stream is exactly what a fault-free execution allocates)
-    recovers every tensor's birth/death, and
+    An optional post-Execute stage: one *clean* pass (one iteration, no
+    faults, trace recorded; the engine is deterministic) gives every
+    tensor's birth/death — the execute run's when it was clean, else a
+    pass of its own — and
     :func:`~repro.planner.address_plan.plan_addresses` strip-packs the
     stream into an :class:`~repro.planner.address_plan.AddressPlan`.
-    Content-addressed by the lowered instruction stream and the device
-    capacity, so sweeps re-plan only when the program changes.
+    Keyed by what produced the program (plan key + lowering options),
+    not by its instructions; the pipeline stamps the artifact ``stale``
+    when the executed stream no longer replays on the plan.
     """
 
-    def key(self, lowered: LowerArtifact, gpu: GPUSpec) -> str:
-        """Plans depend on the exact instruction stream, the capacity
-        the measurement pass ran against, and the pool alignment."""
+    def key(
+        self, plan: PlanArtifact, lowered: LowerArtifact, gpu: GPUSpec,
+    ) -> str:
+        """Lowering is a pure function of the plan key's inputs and the
+        augment options; the clean pass also depends on the capacity it
+        ran against and the pool alignment."""
         return fingerprint({
             "stage": "address_plan",
-            "program": program_signature(lowered.program.program),
+            "plan": plan.key,
+            "lower": lowered.options,
             "capacity": gpu_capacity_signature(gpu),
             "alignment": ALIGNMENT,
         })
@@ -335,30 +336,32 @@ class AddressPlanStage:
     def run(
         self,
         gpu: GPUSpec,
+        plan: PlanArtifact,
         lowered: LowerArtifact,
         cache: CompileCache | None = None,
+        executed: ExecuteArtifact | None = None,
     ) -> AddressPlanArtifact:
-        """Measure + pack, or return the cached plan for this key; a
-        measurement-pass OOM becomes an error artifact, not an
-        exception (the execute stage will report the same failure)."""
+        """Pack ``executed`` (the clean pass; ``None`` runs one here),
+        or return the cached plan for this key; a clean-pass OOM becomes
+        an error artifact with the engine's message."""
         key = ""
-        if cache is not None:
+        if cache is not None and plan.key:
             metrics = get_telemetry().metrics
             with metrics.timer("compile_cache.address_plan.key_seconds").time():
-                key = self.key(lowered, gpu)
+                key = self.key(plan, lowered, gpu)
             hit = cache.get(key, kind="address_plan")
             if hit is not None:
                 return AddressPlanArtifact(
                     key=key, plan=hit.plan, error=hit.error, cached=True,
                 )
-        try:
-            trace = Engine(gpu).execute(lowered.program.program)
-        except OutOfMemoryError as exc:
-            artifact = AddressPlanArtifact(key=key, error=str(exc))
-        else:
+        if executed is None:
+            executed = ExecuteStage().run(gpu, lowered)
+        if executed.feasible:
             artifact = AddressPlanArtifact(
-                key=key, plan=plan_addresses(trace, source_key=key),
+                key=key, plan=plan_addresses(executed.trace, source_key=key),
             )
+        else:
+            artifact = AddressPlanArtifact(key=key, error=executed.error)
         if key:
             cache.put(key, artifact, kind="address_plan")
         return artifact

@@ -8,7 +8,6 @@ from repro.planner.address_plan import (
     extract_intervals,
     packed_feasible,
     plan_addresses,
-    program_signature,
 )
 
 __all__ = [
@@ -19,5 +18,4 @@ __all__ = [
     "extract_intervals",
     "packed_feasible",
     "plan_addresses",
-    "program_signature",
 ]

@@ -355,13 +355,18 @@ def packed_feasible(
     return plan.feasible(capacity)
 
 
-def plan_stale_reasons(trace: ExecutionTrace) -> list[str]:
+def plan_stale_reasons(
+    trace: ExecutionTrace, plan: AddressPlan | None = None,
+) -> list[str]:
     """Why an :class:`AddressPlan` no longer matches an executed trace.
 
-    A plan is derived from a clean measurement run of the lowered
-    program; any mid-run deviation — dynamic plan hot-swaps, emergency
-    evictions and refetches, recovery skips — changes the allocation
-    stream, so planned addresses stop corresponding to the requests.
+    A plan is derived from a clean pass of the lowered program; any
+    mid-run deviation — dynamic plan hot-swaps, emergency evictions and
+    refetches, recovery skips — changes the allocation stream, so
+    planned addresses stop corresponding to the requests. Timing faults
+    (kernel noise, link jitter, transfer retries) reorder the stream
+    without leaving such a count; pass ``plan`` to also replay the
+    executed stream on it and report any misses or a failed placement.
     Returns an empty list when the trace still matches.
     """
     reasons: list[str] = []
@@ -375,24 +380,14 @@ def plan_stale_reasons(trace: ExecutionTrace) -> list[str]:
         reasons.append(f"{trace.emergency_refetches} refetch(es)")
     if trace.recovered_skips:
         reasons.append(f"{trace.recovered_skips} recovered skip(s)")
+    if plan is not None:
+        from repro.analysis.allocator_replay import replay_allocations
+
+        replay = replay_allocations(
+            trace, plan.packed_peak, strategy="planned", plan=plan,
+        )
+        if replay.plan_misses:
+            reasons.append(f"{replay.plan_misses} plan miss(es)")
+        if not replay.succeeded:
+            reasons.append(f"planned replay failed at {replay.failed_at}")
     return reasons
-
-
-def program_signature(program) -> str:
-    """Content fingerprint of a lowered program's instruction stream.
-
-    The address-plan cache key: two identical instruction streams
-    produce identical allocation streams (the engine is deterministic
-    without faults), so they share one plan.
-    """
-    from repro.pipeline.cache import fingerprint
-
-    return fingerprint({
-        "name": program.name,
-        "batch": program.batch,
-        "persistent_bytes": program.persistent_bytes,
-        "initial_host": program.initial_host,
-        "instructions": [
-            (type(instr).__name__, instr) for instr in program.instructions
-        ],
-    })

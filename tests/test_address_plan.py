@@ -33,8 +33,9 @@ from repro.analysis.allocator_replay import (
     replay_allocations,
 )
 from repro.analysis.memscope import AddressSpaceTimeline, MemscopeObserver
+from repro.core.augment import AugmentOptions
 from repro.faults.model import FaultConfig
-from repro.hardware.gpu import GPUSpec
+from repro.hardware.gpu import GPU_PRESETS, GPUSpec
 from repro.hardware.memory_pool import (
     ALIGNMENT,
     PERSISTENT_LABEL,
@@ -51,6 +52,7 @@ from repro.planner.address_plan import (
     plan_addresses,
     plan_stale_reasons,
 )
+from repro.runtime.engine import Engine, EngineOptions
 from repro.runtime.trace import ExecutionTrace
 from repro.units import MB, TFLOPS
 from tests.conftest import BIG_GPU, build_tiny_cnn
@@ -342,6 +344,21 @@ class TestPlanInvalidation:
         assert run.address_plan is not None
         assert not run.address_plan.stale
 
+    @pytest.mark.filterwarnings("ignore:planned pool falling back")
+    def test_timing_faults_mark_artifact_stale(self):
+        """Link jitter reorders the allocation stream without any
+        recovery count; the planned replay's misses must mark the plan
+        stale."""
+        run = compile_run(
+            build_model("vgg16", 64), "vdnn_all", GPU_PRESETS["gtx_1080ti"],
+            faults=FaultConfig(seed=1, pcie_jitter=0.3), address_plan=True,
+        )
+        assert run.result.feasible, run.result.failure
+        assert plan_stale_reasons(run.result.trace) == []
+        assert run.address_plan.feasible
+        assert run.address_plan.stale
+        assert "plan miss(es)" in run.address_plan.stale_reason
+
     def test_deviated_stream_falls_back_without_corruption(self):
         """A stale plan fed the faulty (evicted) stream must degrade to
         best-fit loudly — extra frees and refetch allocs miss the plan —
@@ -404,11 +421,55 @@ class TestByteIdentity:
         off = compile_run(build_tiny_cnn(), "tsplit", BIG_GPU)
         assert off.address_plan is None
         assert on.address_plan is not None and on.address_plan.feasible
-        a, b = on.result.trace, off.result.trace
-        assert a.alloc_events == b.alloc_events
-        assert a.records == b.records
-        assert a.iteration_time == b.iteration_time
-        assert a.peak_memory == b.peak_memory
+        assert dataclasses.asdict(on.result.trace) == \
+            dataclasses.asdict(off.result.trace)
+
+    def test_engine_oom_artifact_carries_engine_error(self):
+        run = compile_run(
+            build_model("vgg16", 256), "vdnn_all", GPU_PRESETS["gtx_1080ti"],
+            address_plan=True,
+        )
+        assert run.plan.feasible and not run.executed.feasible
+        assert not run.address_plan.feasible
+        assert run.address_plan.error == run.executed.error
+
+    def test_key_covers_gpu_performance(self):
+        """Two devices of equal capacity but different link speeds
+        allocate in different orders; one must never be served the
+        other's plan."""
+        fast = GPU_PRESETS["gtx_1080ti"]
+        slow = dataclasses.replace(
+            fast, pcie_bandwidth=fast.pcie_bandwidth / 8,
+        )
+        cache = CompileCache()
+        compile_run(
+            build_model("vgg16", 64), "vdnn_all", fast,
+            cache=cache, address_plan=True,
+        )
+        shared = compile_run(
+            build_model("vgg16", 64), "vdnn_all", slow,
+            cache=cache, address_plan=True,
+        )
+        fresh = compile_run(
+            build_model("vgg16", 64), "vdnn_all", slow, address_plan=True,
+        )
+        assert not shared.address_plan.cached
+        assert shared.address_plan.plan.entries == \
+            fresh.address_plan.plan.entries
+
+    def test_key_tracks_lowering_options_and_capacity(self):
+        def key(gpu=BIG_GPU, options=None):
+            return compile_run(
+                build_tiny_cnn(), "vdnn_all", gpu, cache=CompileCache(),
+                augment_options=options, address_plan=True,
+            ).address_plan.key
+
+        base = key()
+        assert key() == base
+        assert key(options=AugmentOptions(prefetch_ops=1)) != base
+        assert key(gpu=dataclasses.replace(
+            BIG_GPU, memory_bytes=BIG_GPU.memory_bytes // 2,
+        )) != base
 
     def test_artifact_is_content_cached(self):
         cache = CompileCache()
@@ -425,3 +486,47 @@ class TestByteIdentity:
         assert first.address_plan.key == second.address_plan.key
         assert first.address_plan.plan.digest() == \
             second.address_plan.plan.digest()
+
+
+class TestEnginePasses:
+    """The stage packs the execute run when it is the clean pass, and
+    runs its own pass only when it is not."""
+
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        count = [0]
+
+        def counted(method):
+            def wrapper(*args, **kwargs):
+                count[0] += 1
+                return method(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(Engine, "execute", counted(Engine.execute))
+        monkeypatch.setattr(
+            Engine, "execute_iterations", counted(Engine.execute_iterations),
+        )
+        return count
+
+    def run(self, cache=None, **kwargs):
+        return compile_run(
+            build_tiny_cnn(), "tsplit", BIG_GPU, cache=cache,
+            address_plan=True, **kwargs,
+        )
+
+    def test_clean_miss_runs_one_pass_and_hit_adds_none(self, passes):
+        cache = CompileCache()
+        assert not self.run(cache).address_plan.cached
+        assert passes[0] == 1
+        assert self.run(cache).address_plan.cached
+        assert passes[0] == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"iterations": 2},
+        {"faults": FaultConfig(seed=0)},
+        {"engine_options": EngineOptions(record_trace=False)},
+    ], ids=["iterations", "faults", "no_trace"])
+    def test_non_clean_run_adds_own_pass(self, passes, kwargs):
+        run = self.run(CompileCache(), **kwargs)
+        assert run.address_plan.feasible
+        assert passes[0] == 2
