@@ -1,14 +1,15 @@
-"""Planner wall-time benchmark: incremental vs reference cost model.
+"""Planner wall-time benchmark: decisions per second per configuration.
 
 An infrastructure extension rather than a paper table: it tracks the
 planning cost that bounds every sweep in EXPERIMENTS.md.
 
-Runs the TSPLIT greedy planner twice per (model, batch, GPU)
-configuration — once with the incremental memory-curve / cost-model
-caching (``PlannerOptions(incremental=True)``, the default) and once
-with the reference implementation that recomputes curves from scratch —
-and verifies the two produce byte-identical plans before reporting the
-speedup. Results land in ``BENCH_planner.json``.
+Times the TSPLIT greedy planner per (model, batch, GPU) configuration
+and reports its decisions (greedy steps) and assignments (the
+(tensor, config) pairs those steps set; a split group sets several).
+A configuration that also appears in ``tests/data/planner_golden.json``
+must plan to its golden decision and plan digests, or the benchmark
+exits nonzero — so the CI smoke run fails on any plan drift. Results
+land in ``BENCH_planner.json``.
 
 Two sweep-infrastructure sections ride along:
 
@@ -42,17 +43,23 @@ import tempfile
 import time
 from pathlib import Path
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 
 from repro.analysis.parallel import (  # noqa: E402
     canonical_point_bytes,
     sweep,
 )
 from repro.analysis.throughput import throughput_point  # noqa: E402
-from repro.core.planner import PlannerOptions, TsplitPlanner  # noqa: E402
+from repro.core.planner import TsplitPlanner  # noqa: E402
 from repro.hardware.gpu import GPU_PRESETS  # noqa: E402
 from repro.models.registry import build_model  # noqa: E402
 from repro.pipeline import CompileCache  # noqa: E402
+from tests.test_incremental_simulate import (  # noqa: E402
+    GOLDEN_PATH,
+    golden_entry,
+    golden_id,
+)
 
 #: (model, batch, GPU preset). Batches are chosen so the raw graph
 #: over-subscribes the device and the planner has real work to do.
@@ -175,60 +182,37 @@ def bench_disk_cache() -> dict:
         shutil.rmtree(cache_dir, ignore_errors=True)
 
 
-def _plan_once(graph, gpu, incremental: bool):
-    """One timed planning run; returns (seconds, flat decisions, peak)."""
-    planner = TsplitPlanner(gpu, PlannerOptions(incremental=incremental))
-    start = time.perf_counter()
-    result = planner.plan(graph)
-    elapsed = time.perf_counter() - start
-    decisions = [
-        (tid, (cfg.opt.value, cfg.p_num, cfg.dim))
-        for decision in result.decisions
-        for tid, cfg in decision.configs
-    ]
-    return elapsed, decisions, result.peak_memory
+def bench_config(
+    model: str, batch: int, gpu_name: str, repeats: int, golden: dict,
+) -> dict:
+    """Time one configuration: the best of ``repeats`` planning runs (the
+    minimum is the least load-contaminated sample).
 
-
-def bench_config(model: str, batch: int, gpu_name: str, repeats: int) -> dict:
-    """Benchmark one configuration in both planner modes.
-
-    Takes the best of ``repeats`` runs per mode (standard wall-time
-    practice: the minimum is the least load-contaminated sample) and
-    asserts the modes agree decision for decision.
+    ``golden_match`` is None when the configuration has no golden entry.
     """
     graph = build_model(model, batch)
     gpu = GPU_PRESETS[gpu_name]
-    times: dict[bool, float] = {}
-    plans: dict[bool, tuple] = {}
-    for incremental in (True, False):
-        best = float("inf")
-        for _ in range(repeats):
-            elapsed, decisions, peak = _plan_once(graph, gpu, incremental)
-            best = min(best, elapsed)
-        times[incremental] = best
-        plans[incremental] = (decisions, peak)
-
-    identical = plans[True] == plans[False]
-    if not identical:
-        raise AssertionError(
-            f"{model} b={batch} {gpu_name}: incremental planner diverged "
-            f"from the reference implementation"
-        )
-    decisions, peak = plans[True]
-    n = len(decisions)
+    best = float("inf")
+    for _ in range(repeats):
+        planner = TsplitPlanner(gpu)
+        start = time.perf_counter()
+        result = planner.plan(graph)
+        best = min(best, time.perf_counter() - start)
+    entry = golden_entry(result)
+    expected = golden.get(golden_id(model, batch, gpu_name, 1.0))
+    decisions = len(result.decisions)
     return {
         "model": model,
         "batch": batch,
         "gpu": gpu_name,
         "ops": len(graph.ops),
-        "decisions": n,
-        "peak_memory": peak,
-        "identical": identical,
-        "incremental_s": times[True],
-        "reference_s": times[False],
-        "speedup": times[False] / times[True] if times[True] > 0 else 0.0,
-        "decisions_per_sec_incremental": n / times[True] if times[True] else 0.0,
-        "decisions_per_sec_reference": n / times[False] if times[False] else 0.0,
+        "decisions": decisions,
+        "assignments": sum(len(d.configs) for d in result.decisions),
+        "peak_memory": result.peak_memory,
+        "plan_s": best,
+        "decisions_per_sec": decisions / best if best > 0 else 0.0,
+        "plan_digest": entry["plan_digest"],
+        "golden_match": None if expected is None else entry == expected,
     }
 
 
@@ -239,7 +223,7 @@ def main(argv: list[str] | None = None) -> int:
         help="small fast matrix for CI (seconds, not minutes)")
     parser.add_argument(
         "--repeats", type=int, default=None,
-        help="timing runs per mode (default: 1 for --smoke, 2 otherwise)")
+        help="timing runs per config (default: 1 for --smoke, 2 otherwise)")
     parser.add_argument("--out", default="BENCH_planner.json")
     parser.add_argument(
         "--sweep-workers", type=int, default=0, metavar="N",
@@ -253,29 +237,34 @@ def main(argv: list[str] | None = None) -> int:
     matrix = SMOKE_MATRIX if args.smoke else FULL_MATRIX
     repeats = args.repeats or (1 if args.smoke else 2)
 
+    golden = json.loads(GOLDEN_PATH.read_text())
+    check = {None: "", True: " golden ok", False: " GOLDEN MISMATCH"}
     results = []
     for model, batch, gpu_name in matrix:
-        entry = bench_config(model, batch, gpu_name, repeats)
+        entry = bench_config(model, batch, gpu_name, repeats, golden)
         results.append(entry)
         print(
             f"{model:14s} b={batch:<5d} {gpu_name:12s} "
             f"decisions={entry['decisions']:4d} "
-            f"inc={entry['incremental_s']:.2f}s "
-            f"ref={entry['reference_s']:.2f}s "
-            f"speedup={entry['speedup']:.2f}x",
+            f"assignments={entry['assignments']:5d} "
+            f"{entry['plan_s']:.2f}s "
+            f"({entry['decisions_per_sec']:.0f}/s)"
+            f"{check[entry['golden_match']]}",
             flush=True,
         )
 
-    largest = max(results, key=lambda e: e["ops"])
+    mismatches = [
+        f"{e['model']} b={e['batch']} {e['gpu']}"
+        for e in results if e["golden_match"] is False
+    ]
     payload = {
         "benchmark": "planner",
         "mode": "smoke" if args.smoke else "full",
         "repeats": repeats,
         "results": results,
         "summary": {
-            "largest_model": largest["model"],
-            "largest_model_speedup": largest["speedup"],
-            "all_identical": all(e["identical"] for e in results),
+            "golden_checked": sum(e["golden_match"] is not None for e in results),
+            "golden_mismatches": mismatches,
         },
     }
 
@@ -302,8 +291,11 @@ def main(argv: list[str] | None = None) -> int:
         payload["sweep"] = {"backends": backends, "disk_cache": disk}
 
     Path(args.out).write_text(json.dumps(payload, indent=2) + "\n")
-    print(f"\nwrote {args.out}: largest model {largest['model']} "
-          f"speedup {largest['speedup']:.2f}x")
+    print(f"\nwrote {args.out}")
+    if mismatches:
+        print(f"plans differ from {GOLDEN_PATH.name}: {', '.join(mismatches)}",
+              file=sys.stderr)
+        return 1
     return 0
 
 

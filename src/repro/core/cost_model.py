@@ -53,7 +53,6 @@ from repro.graph.tensor import (
     TensorSpec,
 )
 from repro.core.split_rules import (
-    effective_split,
     effective_split_config,
     op_exec_split,
     op_supports_split,
@@ -156,8 +155,7 @@ def _intern_config(
 
     Candidate generation builds the same few hundred configs hundreds of
     thousands of times per planning run; interning skips the dataclass
-    construction and hash precomputation. Used only in incremental mode
-    so the reference mode keeps the pre-refactor allocation profile.
+    construction and hash precomputation.
     """
     key = (opt, p_num, dim)
     cfg = _CONFIG_INTERN.get(key)
@@ -204,19 +202,11 @@ class CostModel:
         schedule: list[int],
         profile: ProfileData,
         options: CostModelOptions | None = None,
-        *,
-        caching: bool = True,
     ) -> None:
         self.graph = graph
         self.schedule = list(schedule)
         self.profile = profile
         self.options = options or CostModelOptions()
-        #: Point-evaluation caching (committed windows, probe windows,
-        #: recompute-ΔT, exec-split/staging predicates). Disabled by the
-        #: planner's ``incremental=False`` reference mode so that mode
-        #: reproduces the pre-refactor full-recompute cost profile the
-        #: benchmark measures against.
-        self.caching = caching
         self.liveness: LivenessInfo = compute_liveness(graph, schedule)
         self._timelines: dict[int, TensorTimeline | None] = {}
         # Filled by refresh():
@@ -520,7 +510,7 @@ class CostModel:
         dependencies (see :meth:`refresh`).
         """
         tid = tensor.tensor_id
-        committed = self.caching and plan is self._cached_plan
+        committed = plan is self._cached_plan
         if committed:
             cached = self._rdt_cache.get(tid)
             if cached is not None:
@@ -655,7 +645,7 @@ class CostModel:
     def _esplit(
         self, tensor: TensorSpec, cfg: TensorConfig,
     ) -> tuple[str, int] | None:
-        """Memoised :func:`effective_split_config` (incremental mode)."""
+        """Memoised :func:`effective_split_config`."""
         if not cfg.is_split:
             return None
         key = (tensor.tensor_id, cfg)
@@ -689,18 +679,15 @@ class CostModel:
         """Execution split of the op at ``pos``, cached for the committed
         plan; probe plans reuse the committed value when ``changed`` is
         disjoint from the op's adjacency."""
-        committed = self.caching and plan is self._cached_plan
-        if not committed and (
-            not self.caching
-            or changed is None
+        if plan is not self._cached_plan and (
+            changed is None
             or self._cached_plan is None
             or not changed.isdisjoint(
                 self._op_adj(self.schedule[pos]))
         ):
-            op = self.graph.ops[self.schedule[pos]]
-            if self.caching:
-                return self._op_exec_split(plan, op)
-            return op_exec_split(self.graph, plan, op)
+            return self._op_exec_split(
+                plan, self.graph.ops[self.schedule[pos]],
+            )
         cache = self._exec_cache
         if pos not in cache:
             cache[pos] = self._op_exec_split(
@@ -716,10 +703,8 @@ class CostModel:
     ) -> bool:
         """Whole-staging predicate at ``pos``, cached like
         :meth:`_exec_split_at` (dependency set: :meth:`_break_dep_set`)."""
-        committed = self.caching and plan is self._cached_plan
-        if not committed and (
-            not self.caching
-            or changed is None
+        if plan is not self._cached_plan and (
+            changed is None
             or self._cached_plan is None
             or not changed.isdisjoint(self._break_dep_set(pos))
         ):
@@ -756,9 +741,9 @@ class CostModel:
         dependency sets are untouched.
         """
         tid = tensor.tensor_id
-        committed = self.caching and plan is self._cached_plan
+        committed = plan is self._cached_plan
         cacheable_probe = (
-            self.caching and not committed and changed is not None
+            not committed and changed is not None
             and self._cached_plan is not None
         )
         if committed:
@@ -788,16 +773,8 @@ class CostModel:
                     self._point_cache[tid] = 0.0
                 return 0.0
             cfg = plan.config_for(tid)
-            if cfg.is_split:
-                split = (
-                    self._esplit(tensor, cfg) if self.caching
-                    else effective_split(self.graph, plan, tensor)
-                )
-                if split is None:
-                    cfg = (
-                        _intern_config(cfg.opt) if self.caching
-                        else TensorConfig(opt=cfg.opt)
-                    )
+            if cfg.is_split and self._esplit(tensor, cfg) is None:
+                cfg = _intern_config(cfg.opt)
             chain_extra = 0
             deps: set[int] | None = None
             if cfg.opt is MemOption.RECOMPUTE:
@@ -851,7 +828,7 @@ class CostModel:
         changed = frozenset(tensor.tensor_id for tensor, _ in members)
         probe_key = tuple(
             (cid, probe.config_for(cid)) for cid in sorted(changed)
-        ) if self.caching else None
+        )
         reduction = 0.0
         contribution = self.contribution
         for tensor, _ in members:
@@ -873,7 +850,7 @@ class CostModel:
     def _eviction_candidates(self):
         """Yield Step-1-eligible tensors: the size, kind and lifetime
         guards depend only on the graph, never on the plan or the
-        bottleneck, so incremental mode materialises this once
+        bottleneck, so :meth:`_nonsplit_pool_at` materialises this once
         (``_eviction_pool``) instead of re-filtering every tensor on
         every decision."""
         persistent_kinds = (
@@ -891,23 +868,6 @@ class CostModel:
                 continue
             yield tensor, timeline, persistent
 
-    def _probe(
-        self, plan: Plan, overrides: dict[int, TensorConfig],
-    ) -> Plan | _ProbePlan:
-        """Hypothetical plan for scoring one candidate.
-
-        Incremental mode layers the candidate's configs over the
-        committed plan without copying; the ``caching=False`` reference
-        mode keeps the pre-refactor full-copy probes so the planner
-        benchmark's baseline reflects the implementation this replaced.
-        """
-        if self.caching:
-            return _ProbePlan(plan, overrides)
-        probe = plan.copy()
-        for tid, cfg in overrides.items():
-            probe.set(tid, cfg)
-        return probe
-
     def persistent_swap_delta_t(self, tensor: TensorSpec) -> float:
         """ΔT of sharding a parameter / optimizer-state tensor to host.
 
@@ -917,7 +877,7 @@ class CostModel:
         the paper's parameter-scale experiments need it).
         """
         tid = tensor.tensor_id
-        cached = self._pswap_cache.get(tid) if self.caching else None
+        cached = self._pswap_cache.get(tid)
         if cached is not None:
             return cached
         timeline = self.timeline(tid)
@@ -935,10 +895,10 @@ class CostModel:
         The exclusion set, persistent-use coverage and activation
         lifetime-window checks depend only on the graph and the
         bottleneck step — never on the plan — and a bottleneck persists
-        across many consecutive decisions, so incremental mode filters
-        the eviction pool once per bottleneck step instead of once per
-        decision. Entries are (tensor, timeline, persistent) in graph
-        order (candidate order must match the reference loop exactly).
+        across many consecutive decisions, so the eviction pool is
+        filtered once per bottleneck step instead of once per decision.
+        Entries are (tensor, timeline, persistent) in graph order, which
+        decides ties between equally good candidates.
         """
         cached = self._nonsplit_eligible
         if cached is not None and cached[0] == bottleneck:
@@ -991,89 +951,12 @@ class CostModel:
     def nonsplit_candidates(
         self, bottleneck: int, plan: Plan,
     ) -> list[Candidate]:
-        """Step 1 of Algorithm 2: swap/recompute for live resident tensors."""
-        if self.caching:
-            return self._nonsplit_candidates_pooled(bottleneck, plan)
-        current_op = self.graph.ops[self.schedule[bottleneck]]
-        excluded = set(current_op.inputs) | set(current_op.outputs)
-        candidates: list[Candidate] = []
-        make_cfg = TensorConfig
-        configs = plan.configs
-        reside = MemOption.RESIDE
-        for tensor, timeline, persistent in self._eviction_candidates():
-            tid = tensor.tensor_id
-            if tid in excluded:
-                continue
-            cfg = configs.get(tid, RESIDE)
-            if cfg.opt is not reside:
-                continue  # already evicted; upgrades happen via split path
-            if persistent:
-                # Shard to host memory, resident only around uses —
-                # how parameter-dominated workloads keep scaling after
-                # every activation is already evicted. Includes
-                # ZeRO-style gradient offload: a parameter gradient is
-                # streamed out at production and back for the update.
-                # ΔM in closed form (mirrors the persistent-SWAP window
-                # rule of the static model): full size unless a use
-                # window covers the bottleneck.
-                if not self.options.allow_swap:
-                    continue
-                covered = any(
-                    use - 1 <= bottleneck <= use
-                    for use in timeline.use_positions
-                )
-                if tensor.kind is TensorKind.GRAD_PARAM:
-                    covered = covered or timeline.alloc == bottleneck
-                if covered:
-                    continue
-                new_cfg = make_cfg(opt=MemOption.SWAP)
-                candidates.append(Candidate(
-                    ((tid, new_cfg),), float(tensor.size_bytes),
-                    self.persistent_swap_delta_t(tensor),
-                    prior=((tid, cfg),),
-                ))
-                continue
-            if timeline.alloc >= bottleneck:
-                continue
-            if timeline.free <= bottleneck:
-                continue  # about to be freed anyway
-            if timeline.fwd_end >= bottleneck:
-                continue  # still needed in the forward region around here
-            for option in (MemOption.SWAP, MemOption.RECOMPUTE):
-                if option is MemOption.SWAP and not self.options.allow_swap:
-                    continue
-                if (
-                    option is MemOption.RECOMPUTE
-                    and not self.options.allow_recompute
-                ):
-                    continue
-                new_cfg = make_cfg(opt=option, p_num=cfg.p_num, dim=cfg.dim)
-                probe = self._probe(plan, {tid: new_cfg})
-                dm = self.group_delta_m(
-                    [(tensor, new_cfg)], plan, probe, bottleneck,
-                )
-                if dm <= 0:
-                    continue
-                try:
-                    dt = (
-                        self.swap_delta_t(tensor, bottleneck)
-                        if option is MemOption.SWAP
-                        else self.recompute_delta_t(tensor, plan)
-                    )
-                except PlanningError:
-                    continue
-                candidates.append(Candidate(
-                    ((tid, new_cfg),), dm, dt,
-                    prior=((tid, cfg),),
-                ))
-        return candidates
+        """Step 1 of Algorithm 2: swap/recompute for live resident tensors.
 
-    def _nonsplit_candidates_pooled(
-        self, bottleneck: int, plan: Plan,
-    ) -> list[Candidate]:
-        """Incremental-mode Step 1: same candidates as
-        :meth:`nonsplit_candidates`, enumerated from the per-bottleneck
-        static pool so only the plan-dependent guards run per decision."""
+        Enumerated from the per-bottleneck static pool
+        (:meth:`_nonsplit_pool_at`), so only the plan-dependent guards
+        run per decision.
+        """
         candidates: list[Candidate] = []
         configs = plan.configs
         reside = MemOption.RESIDE
@@ -1090,6 +973,10 @@ class CostModel:
             if cfg.opt is not reside:
                 continue  # already evicted; upgrades happen via split path
             if persistent:
+                # Shard to host, resident only around uses (parameters,
+                # optimizer state, ZeRO-style gradient offload). ΔM is
+                # closed-form: full size, the pool having dropped the
+                # tensors with a use window over the bottleneck.
                 candidates.append(Candidate(
                     ((tid, swap_cfg),), float(tensor.size_bytes),
                     self.persistent_swap_delta_t(tensor),
@@ -1205,7 +1092,7 @@ class CostModel:
                             changed = True
                     if not members or not changed:
                         continue
-                    probe = self._probe(plan, {
+                    probe = _ProbePlan(plan, {
                         tensor.tensor_id: cfg for tensor, cfg in members
                     })
                     dm = self.group_delta_m(members, plan, probe, bottleneck)
@@ -1304,7 +1191,7 @@ class CostModel:
                     )
                     if new_cfg == old_cfg:
                         continue
-                    probe = self._probe(plan, {tid: new_cfg})
+                    probe = _ProbePlan(plan, {tid: new_cfg})
                     dm = self.group_delta_m(
                         [(tensor, new_cfg)], plan, probe, bottleneck,
                     )

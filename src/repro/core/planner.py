@@ -27,7 +27,7 @@ from repro.core.cost_model import Candidate, CostModel, CostModelOptions
 from repro.core.plan import Plan
 from repro.core.profiler import ProfileData, Profiler
 from repro.core.recompute import RecomputeStrategy
-from repro.core.simulate import MemoryCurve, simulate_memory
+from repro.core.simulate import MemoryCurve
 from repro.errors import PlanningError
 from repro.graph.graph import Graph
 from repro.graph.scheduler import dfs_schedule
@@ -54,12 +54,6 @@ class PlannerOptions:
     #: "largest" (biggest ΔM first) or "fifo" (earliest-generated tensor
     #: first) — the latter two exist for the victim-selection ablation.
     ordering: str = "ratio"
-    #: Maintain the memory curve and cost-model timings incrementally
-    #: (delta updates per decision) instead of recomputing them from
-    #: scratch after every decision. Produces byte-identical plans; False
-    #: exists as the reference implementation for equivalence tests and
-    #: the planner benchmark.
-    incremental: bool = True
 
 
 @dataclass
@@ -163,19 +157,10 @@ class TsplitPlanner:
                 capacity=self.gpu.memory_bytes,
                 budget=budget,
             )
-        incremental = self.options.incremental
-        cost_model = CostModel(
-            graph, schedule, profile, self.options.cost, caching=incremental,
-        )
+        cost_model = CostModel(graph, schedule, profile, self.options.cost)
         cost_model.refresh(plan)
-        curve_state: MemoryCurve | None = None
-        if incremental:
-            curve_state = MemoryCurve(
-                graph, schedule, plan, cost_model.liveness,
-            )
-            curve = curve_state.values
-        else:
-            curve = simulate_memory(graph, schedule, plan, cost_model.liveness)
+        curve_state = MemoryCurve(graph, schedule, plan, cost_model.liveness)
+        curve = curve_state.values
         baseline_peak = int(curve.max()) if len(curve) else 0
         baseline_time = profile.total_compute_time(schedule)
         if recorder is not None:
@@ -230,17 +215,10 @@ class TsplitPlanner:
             tried.add(candidate.key)
             extra_time += candidate.delta_t
             decisions.append(candidate)
-            if incremental:
-                changed = [tid for tid, _ in candidate.configs]
-                cost_model.refresh(plan, changed=changed)
-                for tid, config in candidate.configs:
-                    curve_state.apply(tid, old_configs[tid], config)
-                curve = curve_state.values
-            else:
-                cost_model.refresh(plan)
-                curve = simulate_memory(
-                    graph, schedule, plan, cost_model.liveness,
-                )
+            cost_model.refresh(plan, changed=[tid for tid, _ in candidate.configs])
+            for tid, config in candidate.configs:
+                curve_state.apply(tid, old_configs[tid], config)
+            curve = curve_state.values
             if recorder is not None:
                 recorder.record(
                     candidate,

@@ -17,6 +17,7 @@ from dataclasses import dataclass, replace
 
 from repro.core.augment import AugmentOptions
 from repro.core.profiler import Profiler
+from repro.errors import PlanningError
 from repro.faults.model import FaultConfig
 from repro.graph.graph import Graph
 from repro.hardware.gpu import GPUSpec
@@ -48,8 +49,8 @@ from repro.telemetry import get_telemetry
 class CompiledRun:
     """Every stage artifact for one compiled configuration.
 
-    ``lowered`` and ``executed`` are ``None`` when planning failed (there
-    is nothing to lower); ``result`` always exists and mirrors the
+    ``lowered`` and ``executed`` are ``None`` when planning or lowering
+    failed (there is nothing to run); ``result`` always exists and mirrors the
     pre-pipeline ``run_policy`` contract. ``replan`` carries the dynamic
     feedback loop's report when one was attached (``None`` otherwise).
     """
@@ -84,9 +85,9 @@ def compile_run(
 ) -> CompiledRun:
     """Profile, plan, lower and execute one configuration.
 
-    Never raises for capacity failures — planning errors and engine OOMs
-    surface as ``result.feasible == False`` with the failure message,
-    matching the analysis layer's sweep contract. With ``iterations``
+    Never raises for capacity failures — planning and lowering errors and
+    engine OOMs surface as ``result.feasible == False`` with the failure
+    message, matching the analysis layer's sweep contract. With ``iterations``
     set, the execute stage runs that many back-to-back iterations and
     records per-iteration durations in ``executed.durations``.
 
@@ -147,8 +148,17 @@ def compile_run(
         )
 
     options = default_augment_options(policy, augment_options)
-    with tracer.span("lower", model=graph.name, policy=policy.name):
-        lowered = LowerStage(options).run(graph, plan.plan, profile)
+    try:
+        with tracer.span("lower", model=graph.name, policy=policy.name):
+            lowered = LowerStage(options).run(graph, plan.plan, profile)
+    except PlanningError as exc:  # e.g. RECOMPUTE on a producerless tensor
+        return CompiledRun(
+            result=EvalResult(
+                policy=policy.name, feasible=False,
+                plan=plan.plan, failure=str(exc),
+            ),
+            profile=profile, plan=plan,
+        )
     replan_config = ReplanConfig.coerce(replan)
     controller = None
     boundary_hook = None
@@ -195,6 +205,9 @@ def compile_run(
         reasons = plan_stale_reasons(
             executed.trace, None if measured else address_artifact.plan,
         ) if executed.feasible else []
+        if executed.feasible and not (measured or engine_options.record_trace):
+            # A run that may deviate left no stream to replay on the plan.
+            reasons.append("allocation stream not recorded")
         if reasons:
             # A cached artifact may be shared across runs — never mutate it.
             address_artifact = replace(

@@ -359,6 +359,21 @@ class TestPlanInvalidation:
         assert run.address_plan.stale
         assert "plan miss(es)" in run.address_plan.stale_reason
 
+    def test_unrecorded_stream_of_faulted_run_is_stale(self):
+        """Without a recorded allocation stream the planned replay has
+        nothing to miss, so a run that may deviate cannot be shown to
+        match its plan."""
+        run = compile_run(
+            build_model("vgg16", 64), "vdnn_all", GPU_PRESETS["gtx_1080ti"],
+            engine_options=EngineOptions(record_trace=False),
+            faults=FaultConfig(seed=1, pcie_jitter=0.3), address_plan=True,
+        )
+        assert run.result.feasible, run.result.failure
+        assert not run.result.trace.alloc_events
+        assert run.address_plan.feasible
+        assert run.address_plan.stale
+        assert run.address_plan.stale_reason == "allocation stream not recorded"
+
     def test_deviated_stream_falls_back_without_corruption(self):
         """A stale plan fed the faulty (evicted) stream must degrade to
         best-fit loudly — extra frees and refetch allocs miss the plan —

@@ -131,6 +131,20 @@ class TestCompileRun:
         assert second.result.failure == first.result.failure
         assert first.lowered is None and first.executed is None
 
+    def test_lowering_failure_is_infeasible(self):
+        # The plan swaps dec6/ffn1/weight to host; lowering frees it after
+        # a recompute chain reads it, and its next consumer then tries to
+        # recompute a tensor with no producer.
+        graph = build_model("transformer", 16)
+        gpu = GPU_PRESETS["gtx_1080ti"]
+        gpu = gpu.with_memory(int(gpu.memory_bytes * 0.05))
+        compiled = compile_run(graph, "tsplit", gpu)
+        assert compiled.plan.feasible
+        assert not compiled.result.feasible
+        assert "has no producer; cannot recompute" in compiled.result.failure
+        assert compiled.result.plan is compiled.plan.plan
+        assert compiled.lowered is None and compiled.executed is None
+
 
 class TestParallelSweep:
     def test_resolve_workers(self, monkeypatch):

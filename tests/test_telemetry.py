@@ -1,9 +1,8 @@
 """The unified telemetry layer: metrics, spans, provenance, merging.
 
 The load-bearing property is *inertness*: telemetry observes, it never
-steers. Plans must be byte-identical with provenance on or off, in both
-the incremental and the reference planner modes, and a disabled
-registry/tracer must record nothing.
+steers. Plans must be byte-identical with provenance on or off, and a
+disabled registry/tracer must record nothing.
 """
 
 import json
@@ -28,10 +27,9 @@ def tight_gpu(graph, fraction=0.7):
     return BIG_GPU.with_memory(int(baseline * fraction))
 
 
-def tight_options(incremental=True) -> PlannerOptions:
+def tight_options() -> PlannerOptions:
     return PlannerOptions(
         cost=CostModelOptions(min_split_bytes=0, min_evict_bytes=0),
-        incremental=incremental,
     )
 
 
@@ -201,11 +199,10 @@ class TestConcurrentSpans:
 class TestProvenanceInert:
     """Plans are byte-identical with provenance on or off."""
 
-    @pytest.mark.parametrize("incremental", [True, False])
-    def test_identical_plans_both_modes(self, incremental):
+    def test_identical_plans(self):
         graph = build_tiny_cnn(batch=64, image=32)
         gpu = tight_gpu(graph)
-        options = tight_options(incremental)
+        options = tight_options()
         plain = TsplitPlanner(gpu, options).plan(graph, explain=False)
         explained = TsplitPlanner(gpu, options).plan(graph, explain=True)
         assert explained.plan.configs == plain.plan.configs
